@@ -204,9 +204,8 @@ let rec rx_all t frames =
    The window opens before the burst poll and closes before
    [maybe_park]/[yield], which run effect machinery (continuations
    allocate by design — that cost is the scheduler's, not the poll
-   loop's). Timer work is detected via the wheel's cumulative
-   [timer_activity] counter: a cascade or a firing makes the poll
-   busy. *)
+   loop's). Timer work is detected via the stack's cumulative
+   [timer_activity] counter: a firing makes the poll busy. *)
 (* dlint: hotpath *)
 let fast_path t slot () =
   let sched = Runtime.sched t.rt in

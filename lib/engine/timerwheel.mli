@@ -1,24 +1,23 @@
-(** Deterministic hierarchical timing wheel (Varghese & Lauck), keyed on
-    the simulator's virtual nanosecond clock.
+(** Deterministic timer set keyed on the simulator's virtual nanosecond
+    clock: an indexed binary min-heap of handles.
 
     The datapath stacks arm one timer per connection per concern (RTO,
     TIME_WAIT); at 10k+ connections a sorted scan per poll is the first
-    thing that melts (§5.4's 12-cycle scheduler budget). The wheel makes
-    arm/cancel O(1), [next_deadline] an O(1)-amortized exact peek, and
-    [expire] proportional to the entries actually due — never to the
-    number of entries armed.
+    thing that melts (§5.4's 12-cycle scheduler budget). Here arm and
+    cancel are O(log n), [next_deadline] reads the heap root, and
+    [expire] costs O(log n) per entry actually due — never a walk over
+    the entries armed.
 
     Determinism contract: expiry order is by (deadline, insertion
     sequence) — identical to {!Eventq}'s tie-break — so rewiring a stack
-    from a sorted scan onto the wheel cannot reorder same-deadline
-    firings across runs. Resolution is 1 virtual ns (tick == ns); no
-    rounding of deadlines ever occurs, so [next_deadline] returns
-    exactly the earliest armed deadline — required because
-    [Runtime.maybe_park] sleeps until that instant and a coarsened bound
-    would change virtual time. *)
+    from a sorted scan onto this module cannot reorder same-deadline
+    firings across runs. Deadlines are stored exactly (1 ns), so
+    [next_deadline] returns exactly the earliest armed deadline —
+    required because [Runtime.maybe_park] sleeps until that instant and
+    a coarsened bound would change virtual time. *)
 
 type 'a t
-(** A wheel holding payloads of type ['a]. Not thread-safe (the
+(** A timer set holding payloads of type ['a]. Not thread-safe (the
     simulator is single-threaded by construction). *)
 
 type 'a handle
@@ -26,23 +25,22 @@ type 'a handle
 
 val create : ?start:int -> unit -> 'a t
 (** [start] is the initial virtual time (default 0); deadlines below
-    the wheel's current time are clamped up to it. *)
+    the current time are clamped up to it. *)
 
 val size : 'a t -> int
 (** Number of live (armed, not yet fired or cancelled) entries. *)
 
 val add : 'a t -> deadline:int -> 'a -> 'a handle
-(** Arm an entry. O(1). [deadline] is clamped to the wheel's current
-    time, so a past deadline fires on the next [expire]. *)
+(** Arm an entry. O(log n). [deadline] is clamped to the current time,
+    so a past deadline fires on the next [expire]. *)
 
 val cancel : 'a t -> 'a handle -> unit
-(** Disarm. O(1), idempotent; a cancelled entry never fires. *)
+(** Disarm: removes the entry from the heap at once. O(log n),
+    idempotent; a cancelled entry never fires. *)
 
 val next_deadline : 'a t -> int option
-(** Exact earliest live deadline, or [None] when empty. O(1) when the
-    cached minimum is valid; otherwise one bounded slot scan
-    (re-validated lazily after an expiry or a cancel of the minimum).
-    Allocates the [Some]; per-poll callers should use
+(** Exact earliest live deadline, or [None] when empty. O(1): a read of
+    the heap root. Allocates the [Some]; per-poll callers should use
     {!next_deadline_ns}. *)
 
 val next_deadline_ns : 'a t -> int
@@ -51,21 +49,18 @@ val next_deadline_ns : 'a t -> int
     consult every iteration. *)
 
 val expire : 'a t -> now:int -> ('a -> unit) -> unit
-(** Advance the wheel to [now] and fire every live entry with
-    [deadline <= now], in (deadline, insertion-sequence) order. The
-    callback may arm new entries (they fire on a later [expire], even if
-    already due) and may cancel not-yet-fired ones (they are skipped).
-    Cost: slots crossed since the last call, plus O(k log k) in the k
-    entries fired. The steady-state crossing (every crossed slot empty)
-    allocates nothing. Not re-entrant: callbacks must not call [expire]
-    on the same wheel. *)
+(** Advance to [now] and fire every live entry with [deadline <= now],
+    in (deadline, insertion-sequence) order. The callback may arm new
+    entries (they fire on a later [expire], even if already due) and
+    may cancel not-yet-fired ones (they are skipped). Cost: O(log n)
+    per entry fired; a call with nothing due reads the root and
+    allocates nothing. Not re-entrant: callbacks must not call
+    [expire] on the same set. *)
 
 val activity : 'a t -> int
-(** Cumulative structural-work counter: advances whenever [expire]
-    touches a nonempty crossed bucket (cascade) or fires an entry.
-    Unchanged across an [expire] call iff the wheel did nothing — how
-    pollers distinguish a steady (allocation-free) poll from a busy
-    one. *)
+(** Cumulative count of entries fired. Unchanged across an [expire]
+    call iff nothing fired — how pollers distinguish a steady
+    (allocation-free) poll from a busy one. *)
 
 (** {1 Introspection (tests)} *)
 

@@ -85,7 +85,7 @@ type finding = {
 
 (* O(n)-scan tokens: collection-sized traversals. Array iteration is
    deliberately absent — arrays in this tree are fixed-capacity state
-   (qd slots, wheel buckets), not per-connection tables — and Queue
+   (qd slots), not per-connection tables — and Queue
    drains are dirty-tracked FIFOs, the sanctioned replacement for
    scans. *)
 let scan_tokens =

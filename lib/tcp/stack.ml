@@ -215,9 +215,9 @@ let create ?(config = default_config) ?(trace = fun _ _ -> ()) ~iface ~heap ~prn
     conns = Conntab.create ~initial:64 ();
     listeners = Hashtbl.create 8;
     udp_socks = Hashtbl.create 8;
-    (* Start at virtual 0 even if created mid-run: the wheel only ever
-       advances (deadlines clamp upward), and catching up to the current
-       clock on the first [expire] is one bounded slot walk. Reading the
+    (* Start at virtual 0 even if created mid-run: the timers' clock only
+       ever advances (deadlines clamp upward), and catching up to the
+       current clock on the first [expire] is one assignment. Reading the
        clock here would also break trace-driven harnesses that tie the
        clock closure to the not-yet-constructed driver. *)
     timers = Engine.Timerwheel.create ();
@@ -469,10 +469,11 @@ let send_rst_for t ~src_ip ~th ~seg_len =
 
 (* ---------- timers ----------
 
-   Both per-connection timers live on the stack's {!Engine.Timerwheel}:
-   arming replaces (cancels) the previous handle, so at most one RTO and
-   one TIME_WAIT entry are live per connection and a fired entry is
-   always the connection's current one. *)
+   Both per-connection timers live on the stack's {!Engine.Timerwheel},
+   an indexed heap: arming cancels the previous handle (removing it from
+   the heap at once), so at most one RTO and one TIME_WAIT entry are
+   live per connection and a fired entry is always the connection's
+   current one. *)
 
 let cancel_rto conn =
   match conn.rto_timer with
@@ -1192,7 +1193,7 @@ let rto_fire conn =
       arm_rto conn
   | Time_wait | Closed_st -> ()
 
-(* The wheel fires only due entries, in (deadline, insertion-seq)
+(* The heap fires only due entries, in (deadline, insertion-seq)
    order. A fired entry is necessarily the connection's current handle
    (arming always cancels the previous one), so clearing the field
    here is sound. Top-level (not a per-call closure) so the
@@ -1210,7 +1211,7 @@ let timer_fired (conn, is_time_wait) =
 (* dlint: hotpath *)
 let on_timer t =
   flush_acks t;
-  (* The wheel walks only the slots the clock crossed. *)
+  (* Pops only the due entries; with none due this reads the root. *)
   Engine.Timerwheel.expire t.timers ~now:(now t) timer_fired
 
 (* ---------- introspection ---------- *)

@@ -82,9 +82,9 @@ val input : t -> string -> unit
 (** Process one received Ethernet frame. *)
 
 val next_timer : t -> int option
-(** Earliest pending timer deadline (ns), if any. O(1): an exact peek
-    into the stack's timer wheel ([Engine.Timerwheel]), so pollers and
-    [Runtime.maybe_park] can call it every iteration for free.
+(** Earliest pending timer deadline (ns), if any. O(1): an exact read of
+    the root of the stack's timer heap ([Engine.Timerwheel]), so pollers
+    and [Runtime.maybe_park] can call it every iteration for free.
     Allocates the [Some]; per-poll callers use {!next_timer_ns}. *)
 
 val next_timer_ns : t -> int
@@ -92,16 +92,16 @@ val next_timer_ns : t -> int
     Allocation-free. *)
 
 val timer_activity : t -> int
-(** Cumulative [Engine.Timerwheel.activity] of the stack's wheel:
-    unchanged across an {!on_timer} call iff no timer work (cascade or
-    fire) happened — how the Catnip poll loop classifies an iteration
-    as steady. *)
+(** Cumulative [Engine.Timerwheel.activity] of the stack's timers (the
+    number fired): unchanged across an {!on_timer} call iff no timer
+    fired — how the Catnip poll loop classifies an iteration as
+    steady. *)
 
 val on_timer : t -> unit
 (** Fire every timer whose deadline is at or before the current clock
-    (also flushes pending cumulative acks). Cost is proportional to the
-    timers actually due — an idle call with nothing pending does no
-    per-connection work. Ties fire in arming order, matching the event
+    (also flushes pending cumulative acks). Cost is O(log n) per timer
+    actually due — an idle call with nothing due reads the heap root
+    and does no per-connection work. Ties fire in arming order, matching the event
     queue's (time, insertion-seq) discipline. *)
 
 val flush_acks : t -> unit

@@ -327,17 +327,29 @@ let test_eventq_interleaved =
 
 (* Shared driver: applies (kind, arg) ops to a wheel and to a naive
    sorted-scan oracle; returns the firing log [(now, id); ...] and
-   whether every intermediate check held. *)
+   whether every intermediate check held. The oracle snapshots the due
+   set before each [expire], so entries a callback arms must not fire
+   in that same call. *)
 let wheel_vs_oracle ops =
   let w = Engine.Timerwheel.create () in
   let handles = ref [] in
   (* (id, handle), newest first — fired/cancelled ones included *)
   let oracle = ref [] in
   (* (deadline, id, alive ref) *)
+  let rearms = Hashtbl.create 8 in
+  (* id -> delay its callback re-arms with *)
   let now = ref 0 in
   let next_id = ref 0 in
   let log = ref [] in
   let ok = ref true in
+  let arm ?rearm d =
+    let id = !next_id in
+    incr next_id;
+    handles := (id, Engine.Timerwheel.add w ~deadline:d id) :: !handles;
+    (* The wheel clamps past deadlines to the time it has expired up to. *)
+    oracle := (max d !now, id, ref true) :: !oracle;
+    Option.iter (Hashtbl.replace rearms id) rearm
+  in
   let oracle_min () =
     List.fold_left
       (fun acc (d, _, alive) ->
@@ -346,23 +358,22 @@ let wheel_vs_oracle ops =
   in
   let advance dt =
     now := !now + dt;
-    let fired_w = ref [] in
-    Engine.Timerwheel.expire w ~now:!now (fun id -> fired_w := id :: !fired_w);
     let due = List.filter (fun (d, _, alive) -> !alive && d <= !now) !oracle in
     let due = List.sort (fun (d1, i1, _) (d2, i2, _) -> compare (d1, i1) (d2, i2)) due in
     let fired_o = List.map (fun (_, i, alive) -> alive := false; i) due in
+    let fired_w = ref [] in
+    Engine.Timerwheel.expire w ~now:!now (fun id ->
+        fired_w := id :: !fired_w;
+        (* The RTO pattern: re-arm from inside the callback, possibly
+           at a deadline that is already due. *)
+        Option.iter (fun delay -> arm (!now + delay)) (Hashtbl.find_opt rearms id));
     ok := !ok && List.rev !fired_w = fired_o;
     List.iter (fun i -> log := (!now, i) :: !log) fired_o
   in
   List.iter
     (fun (kind, arg) ->
       (match kind with
-      | 0 ->
-          let d = !now + arg in
-          let id = !next_id in
-          incr next_id;
-          handles := (id, Engine.Timerwheel.add w ~deadline:d id) :: !handles;
-          oracle := (d, id, ref true) :: !oracle
+      | 0 -> arm (!now + arg)
       | 1 -> (
           match !handles with
           | [] -> ()
@@ -370,20 +381,26 @@ let wheel_vs_oracle ops =
               let id, h = List.nth hs (arg mod List.length hs) in
               Engine.Timerwheel.cancel w h;
               List.iter (fun (_, i, alive) -> if i = id then alive := false) !oracle)
-      | _ -> advance arg);
+      | 2 -> advance arg
+      | 3 -> arm (!now - arg) (* already past: exercises the clamp *)
+      | 4 -> arm (!now + ((max_int / 4) lsr (arg mod 62))) (* far, up to max_int / 4 *)
+      | _ -> arm ~rearm:((arg mod 7) - 3) (!now + arg));
       (* The peek must be the exact live minimum after every op. *)
       ok := !ok && Engine.Timerwheel.next_deadline w = oracle_min ())
     ops;
-  advance 5_000_000;
-  (* drain everything left *)
+  (* Drain everything left: past the farthest deadline, then once more
+     for the entries the final callbacks re-armed. *)
+  advance (max_int / 2);
+  advance 3;
   ok := !ok && Engine.Timerwheel.size w = 0 && Engine.Timerwheel.next_deadline w = None;
   (List.rev !log, !ok)
 
 let wheel_ops_gen =
   (* kind: 0 = add (arg: delay), 1 = cancel (arg: which handle),
-     2 = advance+expire (arg: dt). Delays exercise several wheel levels
-     (0..200k ns spans levels 0-3). *)
-  QCheck.(list (pair (int_bound 2) (int_bound 200_000)))
+     2 = advance+expire (arg: dt), 3 = add in the past (arg: how far),
+     4 = add far ahead (arg picks a power-of-two scale of max_int / 4),
+     5 = add an entry whose callback re-arms at now + (arg mod 7) - 3. *)
+  QCheck.(list (pair (int_bound 5) (int_bound 200_000)))
 
 let test_wheel_matches_oracle =
   QCheck.Test.make ~name:"timerwheel expiry matches sorted-scan oracle" ~count:300
@@ -448,6 +465,78 @@ let test_wheel_readd_during_expire () =
   Engine.Timerwheel.expire w ~now:200 (fun f -> f ());
   check_int "fires on the next expire" 2 !fires
 
+let test_wheel_cancel_during_expire () =
+  (* Closing a connection from a timer callback disarms its other
+     timer: a due entry cancelled by an earlier callback in the same
+     [expire] must not fire. *)
+  let w = Engine.Timerwheel.create () in
+  let fired = ref [] in
+  ignore (Engine.Timerwheel.add w ~deadline:100 "first");
+  let later = Engine.Timerwheel.add w ~deadline:150 "later" in
+  ignore (Engine.Timerwheel.add w ~deadline:200 "last");
+  Engine.Timerwheel.expire w ~now:300 (fun p ->
+      fired := p :: !fired;
+      if p = "first" then Engine.Timerwheel.cancel w later);
+  Alcotest.(check (list string)) "cancelled entry skipped" [ "first"; "last" ] (List.rev !fired);
+  check_int "empty after drain" 0 (Engine.Timerwheel.size w)
+
+let minor_words () = int_of_float (Gc.minor_words ())
+
+(* The per-poll timer cycle of a stack with [n] in-flight RTOs: an ack
+   cancels the earliest RTO and re-arms it behind the rest, the poller
+   peeks the next deadline, then runs an [expire] with nothing due.
+   Returns (cycle words per op, total words spent in the peek). *)
+let wheel_cycle_words n =
+  let gap = 7 and base = 1_000_000 and cycles = 20_000 in
+  let w = Engine.Timerwheel.create () in
+  let handles = Array.init n (fun i -> Engine.Timerwheel.add w ~deadline:(base + (i * gap)) i) in
+  let calib =
+    let a = minor_words () in
+    minor_words () - a
+  in
+  let peek_words = ref 0 in
+  let w0 = minor_words () in
+  for k = 0 to cycles - 1 do
+    let i = k mod n in
+    Engine.Timerwheel.cancel w handles.(i);
+    handles.(i) <- Engine.Timerwheel.add w ~deadline:(base + ((n + k) * gap)) i;
+    let p0 = minor_words () in
+    ignore (Sys.opaque_identity (Engine.Timerwheel.next_deadline_ns w));
+    peek_words := !peek_words + (minor_words () - p0 - calib);
+    Engine.Timerwheel.expire w ~now:k ignore
+  done;
+  let words = minor_words () - w0 in
+  check_int "nothing fired" 0 (Engine.Timerwheel.activity w);
+  check_int "all live" n (Engine.Timerwheel.size w);
+  (float_of_int words /. float_of_int cycles, !peek_words)
+
+let test_wheel_scale_invariance () =
+  let per_op_1k, peek_1k = wheel_cycle_words 1_000 in
+  let per_op_8k, peek_8k = wheel_cycle_words 8_000 in
+  check_int "peek allocates nothing at 1k" 0 peek_1k;
+  check_int "peek allocates nothing at 8k" 0 peek_8k;
+  if per_op_8k > 1.25 *. per_op_1k then
+    Alcotest.failf "cycle words/op grew with N: %.1f at 1k, %.1f at 8k" per_op_1k per_op_8k
+
+(* A cancelled or fired entry leaves no reference behind in the heap
+   array, so its payload can be collected while the wheel lives on. *)
+let test_wheel_releases_payloads () =
+  let w = Engine.Timerwheel.create () in
+  let collected = ref 0 in
+  let[@inline never] arm deadline =
+    let payload = ref deadline in
+    Gc.finalise (fun _ -> incr collected) payload;
+    Engine.Timerwheel.add w ~deadline payload
+  in
+  ignore (arm 50);
+  ignore (arm 200);
+  let h = arm 100 in
+  Engine.Timerwheel.cancel w h;
+  Engine.Timerwheel.expire w ~now:150 ignore;
+  Gc.full_major ();
+  check_int "cancelled and fired payloads collected" 2 !collected;
+  check_int "one entry still armed" 1 (Engine.Timerwheel.size w)
+
 let suite =
   [
     Alcotest.test_case "clock pretty-printing" `Quick test_clock_pp;
@@ -478,4 +567,8 @@ let suite =
     QCheck_alcotest.to_alcotest test_wheel_digest_stable;
     Alcotest.test_case "timerwheel cancel is exact" `Quick test_wheel_cancel_no_fire;
     Alcotest.test_case "timerwheel re-add during expire" `Quick test_wheel_readd_during_expire;
+    Alcotest.test_case "timerwheel cancel during expire" `Quick test_wheel_cancel_during_expire;
+    Alcotest.test_case "timerwheel steady cycle is scale-invariant" `Quick
+      test_wheel_scale_invariance;
+    Alcotest.test_case "timerwheel releases removed payloads" `Quick test_wheel_releases_payloads;
   ]
