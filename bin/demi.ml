@@ -22,13 +22,7 @@ let flavor_conv =
     | "catmint" -> Ok Demikernel.Boot.Catmint_os
     | s -> Error (`Msg ("unknown libOS flavor: " ^ s))
   in
-  let print fmt f =
-    Format.pp_print_string fmt
-      (match f with
-      | Demikernel.Boot.Catnap_os -> "catnap"
-      | Demikernel.Boot.Catnip_os -> "catnip"
-      | Demikernel.Boot.Catmint_os -> "catmint")
-  in
+  let print fmt f = Format.pp_print_string fmt (Harness.Common.flavor_name f) in
   Arg.conv (parse, print)
 
 let profile_conv =
@@ -51,6 +45,23 @@ let rec ensure_dir d =
   end
 
 let ensure_parent path = ensure_dir (Filename.dirname path)
+
+let write path contents =
+  ensure_parent path;
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  Format.printf "wrote %s@." path
+
+(* Every command that checks something prints one ok:/FAIL: line per
+   assertion and exits 1 at the end if any failed. *)
+let failures = ref 0
+
+let check (what, ok) =
+  Format.printf "%s: %s@." (if ok then "ok" else "FAIL") what;
+  if not ok then incr failures
+
+let exit_on_failure () = if !failures > 0 then Stdlib.exit 1
 
 let simple name doc run =
   Cmd.v (Cmd.info name ~doc)
@@ -78,13 +89,6 @@ let fig9_cmd =
             (Harness.Fig_throughput.fig9 ~rates ~duration_ms ()))
       $ rates $ duration)
 
-let trace_capacity_arg =
-  Arg.(
-    value
-    & opt int 65_536
-    & info [ "trace-capacity" ] ~docv:"N"
-        ~doc:"Event-trace ring capacity (raise when a run reports dropped events).")
-
 let flavor_arg =
   Arg.(
     value
@@ -95,15 +99,6 @@ let msg_size_arg =
   Arg.(value & opt int 64 & info [ "msg-size" ] ~docv:"BYTES" ~doc:"Echo payload size.")
 
 let echo_cmd =
-  let flavor =
-    Arg.(
-      value
-      & opt flavor_conv Demikernel.Boot.Catnip_os
-      & info [ "flavor" ] ~docv:"LIBOS" ~doc:"catnap | catnip | catmint.")
-  in
-  let msg_size =
-    Arg.(value & opt int 64 & info [ "msg-size" ] ~docv:"BYTES" ~doc:"Echo payload size.")
-  in
   let persist =
     Arg.(value & flag & info [ "persist" ] ~doc:"Log every message to disk before replying.")
   in
@@ -116,60 +111,39 @@ let echo_cmd =
   let trace_flag =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print the last 80 simulator trace events.")
   in
+  let trace_capacity =
+    Arg.(
+      value
+      & opt int 65_536
+      & info [ "trace-capacity" ] ~docv:"N"
+          ~doc:"Event-trace ring capacity (raise when a run reports dropped events).")
+  in
   Cmd.v
     (Cmd.info "echo" ~doc:"Run one echo measurement and print the distribution.")
     Term.(
       const (fun count flavor msg_size persist cost trace trace_capacity ->
-          set_count count;
-          if trace then begin
-            (* Traced runs rebuild the world by hand so we can hold the
-               Sim.t; keep them short. *)
-            let sim = Engine.Sim.create () in
-            let tracer = Engine.Sim.enable_trace ~capacity:trace_capacity sim in
-            let fabric = Net.Fabric.create sim ~cost () in
-            let server = Demikernel.Boot.make sim fabric ~index:1 ~with_disk:persist flavor in
-            let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
-            let hist = Metrics.Histogram.create () in
-            Demikernel.Boot.run_app server (Apps.Echo.server ~port:7 ~persist);
-            Demikernel.Boot.run_app client
-              (Apps.Echo.client
-                 ~dst:(Demikernel.Boot.endpoint server 7)
-                 ~msg_size ~count:(min count 3)
-                 ~record:(Metrics.Histogram.add hist));
-            Demikernel.Boot.start server;
-            Demikernel.Boot.start client;
-            Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
-            Engine.Trace.dump ~last:80 Format.std_formatter tracer;
-            Format.printf "%d echos: avg %a@." (Metrics.Histogram.count hist) Engine.Clock.pp
-              (int_of_float (Metrics.Histogram.mean hist))
-          end
-          else begin
-            let hist =
-              Harness.Common.demi_echo_rtt ~cost ~persist ~msg_size
-                ~proto:Harness.Common.Echo_tcp flavor
-            in
-            Format.printf "%d echos: avg %a  p50 %a  p99 %a@." (Metrics.Histogram.count hist)
-              Engine.Clock.pp
-              (int_of_float (Metrics.Histogram.mean hist))
-              Engine.Clock.pp (Metrics.Histogram.p50 hist) Engine.Clock.pp
-              (Metrics.Histogram.p99 hist)
-          end)
-      $ count_arg $ flavor $ msg_size $ persist $ profile $ trace_flag $ trace_capacity_arg)
+          (* Traced runs are kept short: three echos. *)
+          let count, recorders =
+            if trace then (min count 3, [ Harness.Common.Trace trace_capacity ]) else (count, [])
+          in
+          let r = Harness.Common.echo ~cost ~persist ~msg_size ~count ~recorders flavor in
+          let hist = Harness.Common.histogram r in
+          let avg = int_of_float (Metrics.Histogram.mean hist) in
+          match r.Harness.Common.trace with
+          | Some tracer ->
+              Engine.Trace.dump ~last:80 Format.std_formatter tracer;
+              Format.printf "%d echos: avg %a@." (Metrics.Histogram.count hist) Engine.Clock.pp avg
+          | None ->
+              Format.printf "%d echos: avg %a  p50 %a  p99 %a@." (Metrics.Histogram.count hist)
+                Engine.Clock.pp avg Engine.Clock.pp (Metrics.Histogram.p50 hist) Engine.Clock.pp
+                (Metrics.Histogram.p99 hist))
+      $ count_arg $ flavor_arg $ msg_size_arg $ persist $ profile $ trace_flag $ trace_capacity)
 
-(* `demi trace`: Demitrace end to end. Runs the echo scenario twice from
-   the same seed — spans off (control), then spans on — and checks the
-   observer-effect-free contract: identical trace digests and identical
-   client RTTs. Structurally validates the Chrome JSON export and checks
-   that the per-component breakdown sums to the RTT exactly. Any
-   violation exits 1, so `make trace-smoke` is a single invocation. *)
+(* `demi trace`: Demitrace end to end. Runs the echo scenario with spans
+   on, checks that the per-component breakdown of the last RTT sums to
+   the RTT exactly, and writes the Chrome trace-event JSON after
+   validating it. Any violation exits 1. *)
 let trace_cmd =
-  let chrome =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:"Chrome trace-event JSON path (alias for --out).")
-  in
   let out =
     Arg.(
       value
@@ -181,48 +155,28 @@ let trace_cmd =
     Arg.(value & opt int 16 & info [ "count" ] ~docv:"N" ~doc:"Echos to run.")
   in
   Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Span tracing: per-component breakdown, Chrome export, observer-effect check.")
+    (Cmd.info "trace" ~doc:"Span tracing: per-component breakdown and Chrome export.")
     Term.(
-      const (fun flavor msg_size count chrome out trace_capacity ->
+      const (fun flavor msg_size count out ->
           let open Harness.Fig_breakdown in
-          let off = echo ~with_spans:false ~trace_capacity ~msg_size ~count flavor in
-          let on = echo ~with_spans:true ~trace_capacity ~msg_size ~count flavor in
-          let failures = ref 0 in
-          let check what ok =
-            if ok then Format.printf "ok: %s@." what
-            else begin
-              Format.printf "FAIL: %s@." what;
-              incr failures
-            end
-          in
-          check "trace digest identical, spans on vs off" (String.equal off.digest on.digest);
-          check "client RTT identical, spans on vs off" (off.rtt = on.rtt);
-          let b = on.breakdown in
-          let sum = List.fold_left (fun acc (_, ns) -> acc + ns) b.other b.components in
-          check "breakdown components + other = end-to-end RTT"
-            (sum = b.total && b.total = on.rtt);
+          let r = echo ~msg_size ~count flavor in
+          check
+            ( "breakdown components + other = end-to-end RTT",
+              Harness.Observe.breakdown_exact r.breakdown && r.breakdown.total = r.rtt );
           let json =
             Harness.Chrome_trace.export
-              ~extra:[ ("demitrace", breakdown_json b) ]
-              on.spans
+              ~extra:[ ("demitrace", breakdown_json r.breakdown) ]
+              r.spans
           in
-          (match Harness.Chrome_trace.validate json with
-          | Ok n -> Format.printf "ok: chrome trace valid (%d events)@." n
-          | Error why -> check (Printf.sprintf "chrome trace valid: %s" why) false);
-          let path =
-            match (out, chrome) with
-            | Some p, _ | None, Some p -> p
-            | None, None -> "out/trace-" ^ Harness.Fleet.flavor_name flavor ^ ".json"
-          in
-          ensure_parent path;
-          let oc = open_out path in
-          output_string oc json;
-          close_out oc;
-          Format.printf "wrote %s@." path;
-          print_table [ on ];
-          if !failures > 0 then Stdlib.exit 1)
-      $ flavor_arg $ msg_size_arg $ trace_count $ chrome $ out $ trace_capacity_arg)
+          check (Harness.Observe.chrome_valid "chrome trace" json);
+          write
+            (match out with
+            | Some p -> p
+            | None -> "out/trace-" ^ Harness.Common.flavor_name flavor ^ ".json")
+            json;
+          print_table [ r ];
+          exit_on_failure ())
+      $ flavor_arg $ msg_size_arg $ trace_count $ out)
 
 let stats_cmd =
   let stats_count =
@@ -247,24 +201,15 @@ let stats_cmd =
           let reg = Harness.Stats.echo ~msg_size ~count flavor in
           match (format, out) with
           | `Json, None -> print_string (Metrics.Registry.to_json reg)
-          | `Json, Some path ->
-              ensure_parent path;
-              let oc = open_out path in
-              output_string oc (Metrics.Registry.to_json reg);
-              close_out oc;
-              Format.printf "wrote %s@." path
+          | `Json, Some path -> write path (Metrics.Registry.to_json reg)
           | `Table, None -> Metrics.Registry.dump reg
           | `Table, Some _ ->
               Format.eprintf "stats: --out requires --format json@.";
               Stdlib.exit 2)
       $ flavor_arg $ msg_size_arg $ stats_count $ format $ out)
 
-(* `demi pcap`: capture one echo to a libpcap file. `--check` is the
-   Demiscope observer-effect gate: the same scenario runs capture-off
-   then capture-on from one seed, and the trace digests and RTT
-   distributions must be identical; the capture must also round-trip
-   through the bundled pure-OCaml reader. Any violation exits 1, so
-   `make pcap-smoke` is one invocation per flavor. *)
+(* `demi pcap`: capture one echo to a libpcap file. That the capture is
+   observer-effect-free and well-formed is `demi observe --check`'s job. *)
 let pcap_cmd =
   let out =
     Arg.(
@@ -282,12 +227,6 @@ let pcap_cmd =
   let dump =
     Arg.(value & flag & info [ "dump" ] ~doc:"Print one tcpdump-style line per frame.")
   in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Verify capture is observer-effect-free and well-formed; exit 1 on failure.")
-  in
   let pcap_count =
     Arg.(value & opt int 16 & info [ "count" ] ~docv:"N" ~doc:"Echos to run.")
   in
@@ -299,15 +238,16 @@ let pcap_cmd =
   Cmd.v
     (Cmd.info "pcap" ~doc:"Capture an echo run to a standard libpcap file (Demiscope).")
     Term.(
-      const (fun flavor msg_size count loss out lost dump check ->
-          let name = Harness.Fleet.flavor_name flavor in
-          let out = match out with Some p -> p | None -> "out/" ^ name ^ ".pcap" in
-          let on = Harness.Wire_capture.echo ~with_capture:true ~msg_size ~count ~loss flavor in
-          let session =
-            match on.Harness.Wire_capture.capture with
-            | Some s -> s
-            | None -> assert false
+      const (fun flavor msg_size count loss out lost dump ->
+          let out =
+            match out with
+            | Some p -> p
+            | None -> "out/" ^ Harness.Common.flavor_name flavor ^ ".pcap"
           in
+          let r =
+            Harness.Common.echo ~recorders:[ Harness.Common.Capture ] ~msg_size ~count ~loss flavor
+          in
+          let session = Option.get r.Harness.Common.capture in
           ensure_parent out;
           Net.Pcap.save session.Net.Pcap.wire out;
           Format.printf "wrote %s (%d frames)@." out
@@ -330,42 +270,8 @@ let pcap_cmd =
                       (Net.Decode.line p.Net.Pcap.frame))
                   cap.Net.Pcap.packets
             | Error why -> Format.printf "cannot decode capture: %s@." why
-          end;
-          if check then begin
-            let failures = ref 0 in
-            let checkf what ok =
-              if ok then Format.printf "ok: %s@." what
-              else begin
-                Format.printf "FAIL: %s@." what;
-                incr failures
-              end
-            in
-            let off =
-              Harness.Wire_capture.echo ~with_capture:false ~msg_size ~count ~loss flavor
-            in
-            checkf "trace digest identical, capture on vs off"
-              (String.equal off.Harness.Wire_capture.digest on.Harness.Wire_capture.digest);
-            checkf "RTT distribution identical, capture on vs off"
-              (Harness.Wire_capture.rtt_values off = Harness.Wire_capture.rtt_values on);
-            (match Net.Pcap.parse (Net.Pcap.contents session.Net.Pcap.wire) with
-            | Ok cap ->
-                let n = List.length cap.Net.Pcap.packets in
-                checkf "capture parses with bundled reader" true;
-                checkf "capture is non-empty"
-                  (n > 0 && n = Net.Pcap.frames_written session.Net.Pcap.wire);
-                let mono =
-                  let rec go last = function
-                    | [] -> true
-                    | p :: rest ->
-                        p.Net.Pcap.ts_ns >= last && go p.Net.Pcap.ts_ns rest
-                  in
-                  go 0 cap.Net.Pcap.packets
-                in
-                checkf "capture timestamps monotone" mono
-            | Error why -> checkf (Printf.sprintf "capture parses: %s" why) false);
-            if !failures > 0 then Stdlib.exit 1
           end)
-      $ flavor_arg $ msg_size_arg $ pcap_count $ loss $ out $ lost $ dump $ check)
+      $ flavor_arg $ msg_size_arg $ pcap_count $ loss $ out $ lost $ dump)
 
 (* `demi timeline`: fixed-interval telemetry of one echo run to CSV. *)
 let timeline_cmd =
@@ -388,15 +294,17 @@ let timeline_cmd =
        ~doc:"Sample fabric/TCP/ring telemetry on a fixed virtual-time grid, to CSV.")
     Term.(
       const (fun flavor msg_size count out interval_us ->
-          let name = Harness.Fleet.flavor_name flavor in
-          let out = match out with Some p -> p | None -> "out/timeline-" ^ name ^ ".csv" in
+          let out =
+            match out with
+            | Some p -> p
+            | None -> "out/timeline-" ^ Harness.Common.flavor_name flavor ^ ".csv"
+          in
           let r =
-            Harness.Wire_capture.echo ~with_timeline:true
-              ~timeline_interval_ns:(interval_us * 1000) ~msg_size ~count flavor
+            Harness.Common.echo
+              ~recorders:[ Harness.Common.Timeline (interval_us * 1000) ]
+              ~msg_size ~count flavor
           in
-          let ts =
-            match r.Harness.Wire_capture.timeline with Some ts -> ts | None -> assert false
-          in
+          let ts = Option.get r.Harness.Common.timeline in
           ensure_parent out;
           Metrics.Timeseries.save_csv ts out;
           Format.printf "wrote %s (%d samples, %d columns)@." out
@@ -404,12 +312,8 @@ let timeline_cmd =
             (List.length (Metrics.Timeseries.columns ts)))
       $ flavor_arg $ msg_size_arg $ tl_count $ out $ interval)
 
-(* `demi flight`: the Demiflight recorder end to end. The default run
-   arms the ring on one echo and dumps its tail; `--check` reruns the
-   same scenario from the same seed with the recorder detached and
-   asserts the observer-effect-free contract — identical trace digests
-   and identical RTT distributions, recorder on vs off. Any violation
-   exits 1, so `make flight-smoke` is one invocation per flavor. *)
+(* `demi flight`: the Demiflight recorder end to end — arm the ring on
+   one echo and dump its tail. *)
 let flight_cmd =
   let capacity =
     Arg.(
@@ -421,47 +325,22 @@ let flight_cmd =
       value & opt int 24
       & info [ "dump" ] ~docv:"N" ~doc:"Ring records to print after the run (0 = none).")
   in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Verify the recorder is observer-effect-free; exit 1 on failure.")
-  in
   let fl_count = Arg.(value & opt int 16 & info [ "count" ] ~docv:"N" ~doc:"Echos to run.") in
   Cmd.v
     (Cmd.info "flight"
-       ~doc:"Always-on flight recorder: ring dump and observer-effect check (Demiflight).")
+       ~doc:"Always-on flight recorder: ring dump (Demiflight).")
     Term.(
-      const (fun flavor msg_size count capacity dump check ->
-          let on =
-            Harness.Wire_capture.echo ~with_flight:true ~flight_capacity:capacity ~msg_size
-              ~count flavor
+      const (fun flavor msg_size count capacity dump ->
+          let r =
+            Harness.Common.echo ~recorders:[ Harness.Common.Flight capacity ] ~msg_size ~count
+              flavor
           in
-          let ring =
-            match on.Harness.Wire_capture.flight with Some f -> f | None -> assert false
-          in
+          let ring = Option.get r.Harness.Common.flight in
           Format.printf "flight ring: %d recorded, %d retained, %d overwritten, digest %s@."
             (Engine.Flight.total ring) (Engine.Flight.kept ring) (Engine.Flight.dropped ring)
             (Engine.Flight.digest ring);
-          if dump > 0 then Engine.Flight.dump ~last:dump Format.std_formatter ring;
-          if check then begin
-            let failures = ref 0 in
-            let checkf what ok =
-              if ok then Format.printf "ok: %s@." what
-              else begin
-                Format.printf "FAIL: %s@." what;
-                incr failures
-              end
-            in
-            let off = Harness.Wire_capture.echo ~with_flight:false ~msg_size ~count flavor in
-            checkf "trace digest identical, recorder on vs off"
-              (String.equal off.Harness.Wire_capture.digest on.Harness.Wire_capture.digest);
-            checkf "RTT distribution identical, recorder on vs off"
-              (Harness.Wire_capture.rtt_values off = Harness.Wire_capture.rtt_values on);
-            checkf "ring captured the run" (Engine.Flight.total ring > 0);
-            if !failures > 0 then Stdlib.exit 1
-          end)
-      $ flavor_arg $ msg_size_arg $ fl_count $ capacity $ dump $ check)
+          if dump > 0 then Engine.Flight.dump ~last:dump Format.std_formatter ring)
+      $ flavor_arg $ msg_size_arg $ fl_count $ capacity $ dump)
 
 (* `demi slo`: the retroactive outlier capture. Loss injection makes a
    handful of echos hit a retransmission timeout; the armed watchdog
@@ -502,32 +381,23 @@ let slo_cmd =
        ~doc:"SLO watchdog: capture latency outliers retroactively and dump their context.")
     Term.(
       const (fun flavor msg_size count threshold loss out expect_breach ->
-          let name = Harness.Fleet.flavor_name flavor in
-          let out = match out with Some p -> p | None -> "out/slo-" ^ name ^ ".json" in
-          let failures = ref 0 in
-          let checkf what ok =
-            if ok then Format.printf "ok: %s@." what
-            else begin
-              Format.printf "FAIL: %s@." what;
-              incr failures
-            end
+          let out =
+            match out with
+            | Some p -> p
+            | None -> "out/slo-" ^ Harness.Common.flavor_name flavor ^ ".json"
           in
           let r =
-            Harness.Wire_capture.echo ~with_spans:true ~with_flight:true ~msg_size ~count
-              ~loss ~slo_ns:threshold flavor
+            Harness.Common.echo
+              ~recorders:Harness.Common.[ Spans (Some threshold); Flight 4096 ]
+              ~msg_size ~count ~loss flavor
           in
-          let spans =
-            match r.Harness.Wire_capture.spans with Some s -> s | None -> assert false
-          in
-          let ring =
-            match r.Harness.Wire_capture.flight with Some f -> f | None -> assert false
-          in
+          let spans = Option.get r.Harness.Common.spans in
+          let ring = Option.get r.Harness.Common.flight in
           Format.printf "slo: threshold %dns, %d of %d ops breached@." threshold
             (Engine.Span.outlier_count spans)
             (Engine.Span.op_count spans);
           if expect_breach then
-            checkf "watchdog captured at least one outlier"
-              (Engine.Span.outliers spans <> [])
+            check ("watchdog captured at least one outlier", Engine.Span.outliers spans <> [])
           else if Engine.Span.outliers spans = [] then
             Format.printf "no SLO breach captured (pass --expect-breach to make this fatal)@.";
           (match Engine.Span.outliers spans with
@@ -550,13 +420,9 @@ let slo_cmd =
                 (w1 - w0) w0 w1;
               (* The op's own window, attributed — where the breach went. *)
               let b = Harness.Fig_breakdown.attribute spans ~w0 ~w1 in
-              let sum =
-                List.fold_left
-                  (fun acc (_, ns) -> acc + ns)
-                  b.Harness.Fig_breakdown.other b.Harness.Fig_breakdown.components
-              in
-              checkf "outlier breakdown sums exactly to its latency"
-                (sum = b.Harness.Fig_breakdown.total && b.Harness.Fig_breakdown.total = w1 - w0);
+              check
+                ( "outlier breakdown sums exactly to its latency",
+                  Harness.Observe.breakdown_exact b && b.Harness.Fig_breakdown.total = w1 - w0 );
               List.iter
                 (fun (comp, ns) ->
                   Format.printf "  %-8s %dns@." (Engine.Span.component_name comp) ns)
@@ -597,17 +463,11 @@ let slo_cmd =
                     ]
                   spans
               in
-              (match Harness.Chrome_trace.validate fragment with
-              | Ok n -> Format.printf "ok: chrome fragment valid (%d events)@." n
-              | Error why -> checkf (Printf.sprintf "chrome fragment valid: %s" why) false);
-              ensure_parent out;
-              let oc = open_out out in
-              output_string oc fragment;
-              close_out oc;
-              Format.printf "wrote %s@." out;
+              check (Harness.Observe.chrome_valid "chrome fragment" fragment);
+              write out fragment;
               Format.printf "flight ring tail:@.";
               Engine.Flight.dump ~last:16 Format.std_formatter ring);
-          if !failures > 0 then Stdlib.exit 1)
+          exit_on_failure ())
       $ flavor_arg $ msg_size_arg $ slo_count $ threshold $ loss $ out $ expect_breach)
 
 (* `demi fleet`: Demifleet end to end. The default run arms the causal
@@ -618,9 +478,7 @@ let slo_cmd =
    and writes a validated Chrome export where each request is one lane
    spanning hosts. `--profile` prints the fleet-wide critical-path
    profile (Table-5 style, per (hop, component), sums exact by
-   construction). `--check` is the observer-effect gate: the same
-   scenario runs recorders-off then recorders-on from one seed, and the
-   trace digests and request latencies must be identical. *)
+   construction). *)
 let fleet_cmd =
   let app_arg =
     Arg.(
@@ -653,12 +511,6 @@ let fleet_cmd =
       & info [ "profile" ]
           ~doc:"Print the fleet-wide critical-path profile per (hop, component).")
   in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Verify causal tracing is observer-effect-free; exit 1 on failure.")
-  in
   let out =
     Arg.(
       value
@@ -676,28 +528,15 @@ let fleet_cmd =
        ~doc:"Cross-host causal request tracing: DAGs, critical paths, fleet profile \
              (Demifleet).")
     Term.(
-      const (fun flavor app count replicas quorum loss profile_flag check out top ->
-          let name = Harness.Fleet.flavor_name flavor in
+      const (fun flavor app count replicas quorum loss profile_flag out top ->
+          let name = Harness.Common.flavor_name flavor in
           let app_name = match app with `Txnstore -> "txnstore" | `Relay -> "relay" in
           let out = match out with Some p -> p | None -> "out/fleet-" ^ name ^ ".json" in
-          let failures = ref 0 in
-          let checkf what ok =
-            if ok then Format.printf "ok: %s@." what
-            else begin
-              Format.printf "FAIL: %s@." what;
-              incr failures
-            end
-          in
-          let run_scenario ~recording () =
+          let on =
             match app with
-            | `Txnstore ->
-                Harness.Fleet.txnstore ~with_causal:recording ~with_spans:recording
-                  ~replicas ~count ?quorum ~loss flavor
-            | `Relay ->
-                Harness.Fleet.relay ~with_causal:recording ~with_spans:recording ~count
-                  ~loss flavor
+            | `Txnstore -> Harness.Fleet.txnstore ~replicas ~count ?quorum ~loss flavor
+            | `Relay -> Harness.Fleet.relay ~count ~loss flavor
           in
-          let on = run_scenario ~recording:true () in
           let causal =
             match on.Harness.Fleet.causal with Some c -> c | None -> assert false
           in
@@ -710,17 +549,10 @@ let fleet_cmd =
             (Metrics.Table.cell_ns (Metrics.Hdr.p50 hdr))
             (Metrics.Table.cell_ns (Metrics.Hdr.p99 hdr))
             (Metrics.Table.cell_ns (Metrics.Hdr.max hdr));
-          checkf "every request ran to completion" (List.length reqs = count);
-          checkf "every critical path sums exactly to its end-to-end latency"
-            (List.for_all Harness.Fleet.critical_exact reqs);
-          if check then begin
-            (* Observer-effect gate: same seed, recorders detached. *)
-            let off = run_scenario ~recording:false () in
-            checkf "trace digest identical, recorders on vs off"
-              (String.equal off.Harness.Fleet.digest on.Harness.Fleet.digest);
-            checkf "request latencies identical, recorders on vs off"
-              (off.Harness.Fleet.latencies = on.Harness.Fleet.latencies)
-          end;
+          check ("every request ran to completion", List.length reqs = count);
+          check
+            ( "every critical path sums exactly to its end-to-end latency",
+              List.for_all Harness.Fleet.critical_exact reqs );
           if profile_flag then begin
             let p = Harness.Fleet.profile ~app:app_name reqs in
             let t =
@@ -751,8 +583,7 @@ let fleet_cmd =
                 Metrics.Table.cell_ns p.Harness.Fleet.p_e2e_total; "100.0%";
               ];
             Metrics.Table.print t;
-            checkf "profile rows sum exactly to the end-to-end total"
-              (Harness.Fleet.profile_exact p)
+            check ("profile rows sum exactly to the end-to-end total", Harness.Fleet.profile_exact p)
           end;
           (* Slowest-request drill-down: the same evidence join `demi slo`
              prints, but per causal edge across hosts. *)
@@ -811,25 +642,18 @@ let fleet_cmd =
                     ])
                 q.r_critical;
               Metrics.Table.print t;
-              checkf
-                (Printf.sprintf "request %d critical path sums to %s exactly" q.r_id
-                   (Metrics.Table.cell_ns (q.r_end - q.r_begin)))
-                (Harness.Fleet.critical_exact q))
+              check
+                ( Printf.sprintf "request %d critical path sums to %s exactly" q.r_id
+                    (Metrics.Table.cell_ns (q.r_end - q.r_begin)),
+                  Harness.Fleet.critical_exact q ))
             (take (Stdlib.max 0 top) by_latency);
           (* The fleet Chrome export: one lane per request, flow arrows
              between hops, validated before it is written. *)
           let json = Harness.Fleet.chrome_export ~app:app_name reqs in
-          (match Harness.Chrome_trace.validate json with
-          | Ok n -> Format.printf "ok: fleet chrome trace valid (%d events)@." n
-          | Error why -> checkf (Printf.sprintf "fleet chrome trace valid: %s" why) false);
-          ensure_parent out;
-          let oc = open_out out in
-          output_string oc json;
-          close_out oc;
-          Format.printf "wrote %s@." out;
-          if !failures > 0 then Stdlib.exit 1)
-      $ flavor_arg $ app_arg $ fleet_count $ replicas $ quorum $ loss $ profile_flag $ check
-      $ out $ top)
+          check (Harness.Observe.chrome_valid "fleet chrome trace" json);
+          write out json;
+          exit_on_failure ())
+      $ flavor_arg $ app_arg $ fleet_count $ replicas $ quorum $ loss $ profile_flag $ out $ top)
 
 let table5_cmd =
   let table5_count =
@@ -876,7 +700,6 @@ let table5_cmd =
                   end;
                   [ ("all", 0.0); (Printf.sprintf "p%g+" (q *. 100.), q) ]
             in
-            let failures = ref 0 in
             List.iter
               (fun flavor ->
                 let t =
@@ -886,29 +709,51 @@ let table5_cmd =
                 Harness.Fig_breakdown.print_tail t;
                 (* Exactness is the product here: every band column must
                    sum to its end-to-end row with no remainder. *)
-                let before = !failures in
-                List.iter
-                  (fun band ->
-                    let b = band.Harness.Fig_breakdown.band_breakdown in
-                    let sum =
-                      List.fold_left
-                        (fun acc (_, ns) -> acc + ns)
-                        b.Harness.Fig_breakdown.other b.Harness.Fig_breakdown.components
-                    in
-                    if sum <> b.Harness.Fig_breakdown.total then begin
-                      Format.printf "FAIL: band %s sums %d <> total %d@."
-                        band.Harness.Fig_breakdown.band_label sum
-                        b.Harness.Fig_breakdown.total;
-                      incr failures
-                    end)
-                  t.Harness.Fig_breakdown.tail_bands;
-                if !failures = before then
-                  Format.printf "ok: %s band sums exact@."
-                    (Harness.Fig_breakdown.flavor_name flavor))
+                let inexact =
+                  List.filter
+                    (fun band ->
+                      not (Harness.Observe.breakdown_exact band.Harness.Fig_breakdown.band_breakdown))
+                    t.Harness.Fig_breakdown.tail_bands
+                in
+                check
+                  ( Printf.sprintf "%s band sums exact%s" (Harness.Common.flavor_name flavor)
+                      (String.concat ""
+                         (List.map (fun b -> " (not " ^ b.Harness.Fig_breakdown.band_label ^ ")") inexact)),
+                    inexact = [] ))
               flavors;
-            if !failures > 0 then Stdlib.exit 1
+            exit_on_failure ()
           end)
       $ msg_size_arg $ table5_count $ tail $ tail_count $ quantile)
+
+(* `demi observe`: the observer-effect gate, one for every recorder (see
+   Harness.Observe). Prints one ok:/FAIL: line per assertion; with
+   `--check`, any FAIL exits 1. *)
+let observe_cmd =
+  let flavor =
+    Arg.(
+      value
+      & opt (some flavor_conv) None
+      & info [ "flavor" ] ~docv:"LIBOS" ~doc:"catnap | catnip | catmint (default: all three).")
+  in
+  let check_flag =
+    Arg.(value & flag & info [ "check" ] ~doc:"Exit 1 when any assertion fails.")
+  in
+  Cmd.v
+    (Cmd.info "observe"
+       ~doc:
+         "Observer-effect gate: every recorder armed vs disarmed gives the same trace digest \
+          and latencies, and every artifact validates.")
+    Term.(
+      const (fun flavor check_flag ->
+          let flavors =
+            match flavor with
+            | Some f -> [ f ]
+            | None ->
+                [ Demikernel.Boot.Catnap_os; Demikernel.Boot.Catnip_os; Demikernel.Boot.Catmint_os ]
+          in
+          List.iter (fun f -> List.iter check (Harness.Observe.gate f)) flavors;
+          if check_flag then exit_on_failure ())
+      $ flavor $ check_flag)
 
 let run_selfcheck ~seed ~count =
   let r = Harness.Selfcheck.run ~seed ~count () in
@@ -975,6 +820,7 @@ let cmds =
     timeline_cmd;
     flight_cmd;
     slo_cmd;
+    observe_cmd;
     fleet_cmd;
     table5_cmd;
     selfcheck_cmd;

@@ -1,5 +1,5 @@
 (* Chrome/Perfetto trace-event JSON export of Demitrace spans, plus a
-   structural validator (used by `make trace-smoke` and the tests).
+   structural validator (used by `demi observe --check` and the tests).
 
    Layout: one Chrome "process" per span owner (host, device, fabric),
    one "thread" per component track. Component intervals may overlap

@@ -94,55 +94,24 @@ type run = {
   rtt : int; (* the client-observed RTT the window came from *)
   breakdown : breakdown;
   spans : Engine.Span.t;
-  digest : string; (* trace digest, for spans-on/off equality checks *)
-  rtts : Metrics.Histogram.t;
 }
 
-let flavor_name = function
-  | Demikernel.Boot.Catnap_os -> "catnap"
-  | Demikernel.Boot.Catnip_os -> "catnip"
-  | Demikernel.Boot.Catmint_os -> "catmint"
-
-(* One TCP echo between two hosts of the given flavor, spans enabled
-   (unless [with_spans:false] — the control arm of the observer-effect
-   check). The breakdown window is the last completed RTT: the client's
-   [record] callback fires right after its final clock read, so the
-   window is [now - rtt, now] on the client's clock. *)
-let echo ?(with_spans = true) ?(span_capacity = 262_144) ?(trace_capacity = 65_536)
-    ?(msg_size = 64) ?(count = 16) flavor =
-  let w = Common.make_world () in
-  let trace = Engine.Sim.enable_trace ~capacity:trace_capacity w.Common.sim in
-  let spans =
-    if with_spans then Engine.Sim.enable_spans ~capacity:span_capacity w.Common.sim
-    else Engine.Span.create ()
-  in
-  let server = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:2 flavor in
-  let window = ref None in
-  let rtts = Metrics.Histogram.create () in
-  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7 ~persist:false);
-  Demikernel.Boot.run_app client
-    (Apps.Echo.client
-       ~dst:(Demikernel.Boot.endpoint server 7)
-       ~msg_size ~count
-       ~record:(fun rtt ->
-         Metrics.Histogram.add rtts rtt;
-         let now = Demikernel.Host.now client.Demikernel.Boot.host in
-         window := Some (now - rtt, now)));
-  Demikernel.Boot.start server;
-  Demikernel.Boot.start client;
-  Common.run_world w;
-  match !window with
-  | None -> failwith "Fig_breakdown.echo: no RTT recorded"
-  | Some (w0, w1) ->
+(* The breakdown window is the last completed RTT on the client's
+   clock: [now - rtt, now]. *)
+let last_rtt (r : Common.echo_run) =
+  let spans = Option.get r.spans in
+  match List.rev r.rtts with
+  | [] -> failwith "Fig_breakdown.last_rtt: no RTT recorded"
+  | (rtt, now) :: _ ->
       {
-        flavor;
-        rtt = w1 - w0;
-        breakdown = attribute spans ~w0 ~w1;
+        flavor = r.client.Demikernel.Boot.flavor;
+        rtt;
+        breakdown = attribute spans ~w0:(now - rtt) ~w1:now;
         spans;
-        digest = Engine.Trace.digest trace;
-        rtts;
       }
+
+let echo ?msg_size ?(count = 16) flavor =
+  last_rtt (Common.echo ~recorders:[ Common.Spans None ] ?msg_size ~count flavor)
 
 (* ---------- tail attribution (Demiflight) ---------- *)
 
@@ -191,19 +160,18 @@ let default_quantiles =
   [ ("all", 0.0); ("p90+", 0.90); ("p99+", 0.99); ("p99.9+", 0.999) ]
 
 (* Same scenario as [echo], but every RTT's window is a candidate for
-   retention: a deterministic reservoir (Algorithm R over a fixed-seed
-   SplitMix64, independent of the sim's PRNG so retention can never
-   perturb the run) keeps a uniform sample, and a top-k list keeps the
-   slowest windows exactly — the reservoir gives the "all"/"p90" bands
-   honest coverage while top-k guarantees the slowest 0.1% band is
-   never starved by sampling luck. *)
-let echo_tail ?(count = 512) ?(msg_size = 64) ?(reservoir_capacity = 256) ?(top_k = 64)
+   retention, offered in completion order once the run is over: a
+   deterministic reservoir (Algorithm R over a fixed-seed SplitMix64,
+   independent of the sim's PRNG) keeps a uniform sample, and a top-k
+   list keeps the slowest windows exactly — the reservoir gives the
+   "all"/"p90" bands honest coverage while top-k guarantees the slowest
+   0.1% band is never starved by sampling luck. *)
+let echo_tail ?(count = 512) ?msg_size ?(reservoir_capacity = 256) ?(top_k = 64)
     ?(quantiles = default_quantiles) flavor =
-  let w = Common.make_world () in
-  let trace = Engine.Sim.enable_trace w.Common.sim in
-  let spans = Engine.Sim.enable_spans w.Common.sim in
-  let server = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:2 flavor in
+  let run =
+    Common.echo ~recorders:[ Common.Trace 65_536; Common.Spans None ] ?msg_size ~count flavor
+  in
+  let spans = Option.get run.Common.spans in
   let hdr = Metrics.Hdr.create () in
   let reservoir =
     Metrics.Reservoir.create ~capacity:reservoir_capacity
@@ -228,20 +196,13 @@ let echo_tail ?(count = 512) ?(msg_size = 64) ?(reservoir_capacity = 256) ?(top_
       | (r, _, _) :: tl when rtt > r -> slowest := insert tl
       | _ -> ()
   in
-  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7 ~persist:false);
-  Demikernel.Boot.run_app client
-    (Apps.Echo.client
-       ~dst:(Demikernel.Boot.endpoint server 7)
-       ~msg_size ~count
-       ~record:(fun rtt ->
-         Metrics.Hdr.add hdr rtt;
-         let now = Demikernel.Host.now client.Demikernel.Boot.host in
-         let win = (rtt, now - rtt, now) in
-         Metrics.Reservoir.offer reservoir win;
-         offer_slow win));
-  Demikernel.Boot.start server;
-  Demikernel.Boot.start client;
-  Common.run_world w;
+  List.iter
+    (fun (rtt, now) ->
+      Metrics.Hdr.add hdr rtt;
+      let win = (rtt, now - rtt, now) in
+      Metrics.Reservoir.offer reservoir win;
+      offer_slow win)
+    run.Common.rtts;
   let retained =
     List.sort_uniq compare (Metrics.Reservoir.to_list reservoir @ !slowest)
   in
@@ -267,7 +228,7 @@ let echo_tail ?(count = 512) ?(msg_size = 64) ?(reservoir_capacity = 256) ?(top_
     tail_hdr = hdr;
     tail_sampled = List.length retained;
     tail_bands = bands;
-    tail_digest = Engine.Trace.digest trace;
+    tail_digest = Engine.Trace.digest (Option.get run.Common.trace);
   }
 
 (* Table 5 for the slowest ops: component rows, one column per
@@ -275,7 +236,7 @@ let echo_tail ?(count = 512) ?(msg_size = 64) ?(reservoir_capacity = 256) ?(top_
    windows in the band. *)
 let print_tail t =
   Printf.printf "%s tail attribution: %d ops, %d windows retained, p50=%dns p99=%dns p99.9=%dns\n"
-    (flavor_name t.tail_flavor) t.tail_ops t.tail_sampled
+    (Common.flavor_name t.tail_flavor) t.tail_ops t.tail_sampled
     (Metrics.Hdr.quantile t.tail_hdr 0.5)
     (Metrics.Hdr.quantile t.tail_hdr 0.99)
     (Metrics.Hdr.quantile t.tail_hdr 0.999);
@@ -312,7 +273,7 @@ let print_tail t =
 let print_table runs =
   let tbl =
     Metrics.Table.create ~title:"echo RTT breakdown (last RTT, ns)"
-      ~columns:("component" :: List.map (fun r -> flavor_name r.flavor) runs)
+      ~columns:("component" :: List.map (fun r -> Common.flavor_name r.flavor) runs)
   in
   List.iter
     (fun comp ->

@@ -25,24 +25,15 @@ type run = {
   rtt : int;  (** the client-observed RTT the window came from *)
   breakdown : breakdown;
   spans : Engine.Span.t;
-  digest : string;  (** trace digest, for spans-on/off equality checks *)
-  rtts : Metrics.Histogram.t;
 }
 
-val flavor_name : Demikernel.Boot.flavor -> string
+val last_rtt : Common.echo_run -> run
+(** Attribute the run's last completed RTT, on the client's clock.
+    The run must have armed {!Common.Spans}. *)
 
-val echo :
-  ?with_spans:bool ->
-  ?span_capacity:int ->
-  ?trace_capacity:int ->
-  ?msg_size:int ->
-  ?count:int ->
-  Demikernel.Boot.flavor ->
-  run
-(** One TCP echo between two hosts of [flavor], tracing enabled, spans
-    enabled unless [with_spans:false] (the control arm of the
-    observer-effect check — same seed, same scenario, no recorder). The
-    breakdown window is the last completed RTT on the client's clock. *)
+val echo : ?msg_size:int -> ?count:int -> Demikernel.Boot.flavor -> run
+(** {!last_rtt} of a {!Common.echo} with spans armed, [count] (default
+    16) TCP echos. *)
 
 val print_table : run list -> unit
 (** Print the paper-style breakdown table, one column per run. *)

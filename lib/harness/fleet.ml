@@ -330,20 +330,21 @@ type run = {
   flight : Engine.Flight.t option;
 }
 
-let instruments ?spans_capacity w ~with_causal ~with_spans ~with_flight =
+(* [recording] arms causal, spans and flight together; [false] is the
+   observer-effect gate's bare arm. The event trace is always on: its
+   digest is what the gate compares. *)
+let instruments w ~recording =
   let trace = Engine.Sim.enable_trace w.Common.sim in
-  let causal = if with_causal then Some (Engine.Sim.enable_causal w.Common.sim) else None in
-  let spans =
-    if with_spans then Some (Engine.Sim.enable_spans ?capacity:spans_capacity w.Common.sim)
-    else None
-  in
-  let flight = if with_flight then Some (Engine.Sim.enable_flight w.Common.sim) else None in
+  let arm enable = if recording then Some (enable w.Common.sim) else None in
+  let causal = arm Engine.Sim.enable_causal in
+  let spans = arm Engine.Sim.enable_spans in
+  let flight = arm Engine.Sim.enable_flight in
   (trace, causal, spans, flight)
 
-let txnstore ?(with_causal = true) ?(with_spans = true) ?(with_flight = false) ?(replicas = 3)
-    ?(count = 8) ?quorum ?(value_size = 64) ?(loss = 0.) flavor =
+let txnstore ?(recording = true) ?(replicas = 3) ?(count = 8) ?quorum ?(value_size = 64)
+    ?(loss = 0.) flavor =
   let w = Common.make_world ~loss () in
-  let trace, causal, spans, flight = instruments w ~with_causal ~with_spans ~with_flight in
+  let trace, causal, spans, flight = instruments w ~recording in
   let eps =
     List.init replicas (fun i ->
         let node =
@@ -374,10 +375,9 @@ let txnstore ?(with_causal = true) ?(with_spans = true) ?(with_flight = false) ?
     latencies = List.rev !lats; causal; spans; flight;
   }
 
-let relay ?(with_causal = true) ?(with_spans = true) ?(with_flight = false) ?(count = 8)
-    ?(msg_size = 64) ?(loss = 0.) flavor =
+let relay ?(recording = true) ?(count = 8) ?(msg_size = 64) ?(loss = 0.) flavor =
   let w = Common.make_world ~loss () in
-  let trace, causal, spans, flight = instruments w ~with_causal ~with_spans ~with_flight in
+  let trace, causal, spans, flight = instruments w ~recording in
   let server =
     Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:1 ~name:"relay" flavor
   in
@@ -396,8 +396,3 @@ let relay ?(with_causal = true) ?(with_spans = true) ?(with_flight = false) ?(co
     flavor; app = "relay"; digest = Engine.Trace.digest trace; latencies = List.rev !lats;
     causal; spans; flight;
   }
-
-let flavor_name = function
-  | Demikernel.Boot.Catnap_os -> "catnap"
-  | Demikernel.Boot.Catnip_os -> "catnip"
-  | Demikernel.Boot.Catmint_os -> "catmint"

@@ -107,9 +107,7 @@ type run = {
 }
 
 val txnstore :
-  ?with_causal:bool ->
-  ?with_spans:bool ->
-  ?with_flight:bool ->
+  ?recording:bool ->
   ?replicas:int ->
   ?count:int ->
   ?quorum:int ->
@@ -120,18 +118,17 @@ val txnstore :
 (** Quorum-replicated PUTs: [replicas] servers ("replica1"…), one
     client, [count] timed puts waiting for [quorum] acks (default all).
     With a sub-quorum [quorum], every put leaves a highest-index
-    straggler whose ack lands in the DAG {e after} End. *)
+    straggler whose ack lands in the DAG {e after} End. [recording]
+    (default [true]) arms the causal, span and flight recorders; the
+    event trace is always on. *)
 
 val relay :
-  ?with_causal:bool ->
-  ?with_spans:bool ->
-  ?with_flight:bool ->
+  ?recording:bool ->
   ?count:int ->
   ?msg_size:int ->
   ?loss:float ->
   Demikernel.Boot.flavor ->
   run
 (** TURN-style relay fan-out: generator → relay → generator, the same
-    message id crossing two hops zero-copy. *)
-
-val flavor_name : Demikernel.Boot.flavor -> string
+    message id crossing two hops zero-copy. [recording] as for
+    {!txnstore}. Catmint has no datagram sockets, so no relay. *)

@@ -53,27 +53,16 @@ let collect_spans reg spans =
   Metrics.Registry.set reg "span/intervals_dropped" (Engine.Span.dropped spans)
 
 (* One TCP echo with spans on; returns the populated registry. *)
-let echo ?(msg_size = 64) ?(count = 64) flavor =
-  let w = Common.make_world () in
-  let spans = Engine.Sim.enable_spans w.Common.sim in
-  let server = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:2 flavor in
+let echo ?msg_size ?(count = 64) flavor =
+  let r = Common.echo ~recorders:[ Common.Spans None ] ?msg_size ~count flavor in
   let reg = Metrics.Registry.create () in
   let rtts =
     Metrics.Registry.histogram reg
-      (Printf.sprintf "%s/echo/rtt_ns" client.Demikernel.Boot.host.Demikernel.Host.name)
+      (Printf.sprintf "%s/echo/rtt_ns" r.Common.client.Demikernel.Boot.host.Demikernel.Host.name)
   in
-  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7 ~persist:false);
-  Demikernel.Boot.run_app client
-    (Apps.Echo.client
-       ~dst:(Demikernel.Boot.endpoint server 7)
-       ~msg_size ~count
-       ~record:(Metrics.Histogram.add rtts));
-  Demikernel.Boot.start server;
-  Demikernel.Boot.start client;
-  Common.run_world w;
-  collect_node reg server;
-  collect_node reg client;
-  collect_fabric reg w.Common.fabric;
-  collect_spans reg spans;
+  List.iter (fun (rtt, _) -> Metrics.Histogram.add rtts rtt) r.Common.rtts;
+  collect_node reg r.Common.server;
+  collect_node reg r.Common.client;
+  collect_fabric reg r.Common.world.Common.fabric;
+  collect_spans reg (Option.get r.Common.spans);
   reg

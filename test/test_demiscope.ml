@@ -1,7 +1,7 @@
 (* Demiscope: pcap capture, the packet decoder, deterministic flow ids,
-   causal flow arrows in the Chrome export, time-series telemetry — and
-   the observer-effect-free contract for all of them (capture/sampling
-   on vs off: byte-identical trace digests and RTT distributions). *)
+   causal flow arrows in the Chrome export and time-series telemetry.
+   Their observer-effect freedom is checked by rows of test_observe's
+   gate table. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -151,14 +151,16 @@ let test_flow_of_frame () =
 (* --- captured echo: the capture is real traffic, in order --- *)
 
 let test_capture_catnip_echo () =
-  let r = Harness.Wire_capture.echo ~with_capture:true ~count:4 Demikernel.Boot.Catnip_os in
-  let session = Option.get r.Harness.Wire_capture.capture in
+  let r =
+    Harness.Common.echo ~recorders:[ Harness.Common.Capture ] ~count:4 Demikernel.Boot.Catnip_os
+  in
+  let session = Option.get r.Harness.Common.capture in
   match Net.Pcap.parse (Net.Pcap.contents session.Net.Pcap.wire) with
   | Error why -> Alcotest.failf "capture does not parse: %s" why
   | Ok cap ->
       let packets = cap.Net.Pcap.packets in
       check_int "every delivered frame captured"
-        r.Harness.Wire_capture.fabric_stats.Net.Fabric.frames_delivered
+        (Net.Fabric.stats r.Harness.Common.world.Harness.Common.fabric).Net.Fabric.frames_delivered
         (List.length packets);
       let mono =
         let rec go last = function
@@ -185,23 +187,15 @@ let test_capture_catnip_echo () =
           check_bool "3rd: ACK" true (contains ack "Flags [.],")
       | _ -> Alcotest.fail "no TCP handshake in capture")
 
-let test_capture_observer_effect_free () =
-  let base = Harness.Wire_capture.echo ~count:8 Demikernel.Boot.Catnip_os in
-  let taps = Harness.Wire_capture.echo ~with_capture:true ~count:8 Demikernel.Boot.Catnip_os in
-  check_string "digest unchanged by capture" base.Harness.Wire_capture.digest
-    taps.Harness.Wire_capture.digest;
-  check_bool "RTTs unchanged by capture" true
-    (Harness.Wire_capture.rtt_values base = Harness.Wire_capture.rtt_values taps)
-
 let test_lost_tap_sees_injected_loss () =
   let r =
-    Harness.Wire_capture.echo ~with_capture:true ~count:8 ~loss:0.2 Demikernel.Boot.Catnip_os
+    Harness.Common.echo ~recorders:[ Harness.Common.Capture ] ~count:8 ~loss:0.2
+      Demikernel.Boot.Catnip_os
   in
-  let session = Option.get r.Harness.Wire_capture.capture in
-  check_bool "fabric dropped frames" true
-    (r.Harness.Wire_capture.fabric_stats.Net.Fabric.frames_dropped > 0);
-  check_int "every drop captured on the lost tap"
-    r.Harness.Wire_capture.fabric_stats.Net.Fabric.frames_dropped
+  let session = Option.get r.Harness.Common.capture in
+  let stats = Net.Fabric.stats r.Harness.Common.world.Harness.Common.fabric in
+  check_bool "fabric dropped frames" true (stats.Net.Fabric.frames_dropped > 0);
+  check_int "every drop captured on the lost tap" stats.Net.Fabric.frames_dropped
     (Net.Pcap.frames_written session.Net.Pcap.lost)
 
 (* --- causal flows in the Chrome export --- *)
@@ -259,28 +253,6 @@ let test_timeseries_unit () =
   check_string "csv"
     "t_ns,depth,bytes\n1000,3,0\n2000,7,64\n"
     (Metrics.Timeseries.to_csv ts)
-
-let test_timeline_sampling_observer_effect_free () =
-  let base = Harness.Wire_capture.echo ~count:8 Demikernel.Boot.Catnip_os in
-  let sampled =
-    Harness.Wire_capture.echo ~with_timeline:true ~count:8 Demikernel.Boot.Catnip_os
-  in
-  check_string "digest unchanged by sampling" base.Harness.Wire_capture.digest
-    sampled.Harness.Wire_capture.digest;
-  check_bool "RTTs unchanged by sampling" true
-    (Harness.Wire_capture.rtt_values base = Harness.Wire_capture.rtt_values sampled);
-  let ts = Option.get sampled.Harness.Wire_capture.timeline in
-  check_bool "samples were taken" true (Metrics.Timeseries.length ts > 0);
-  (* Fixed grid: rows are spaced exactly one interval apart. *)
-  let rec spaced = function
-    | (t0, _) :: ((t1, _) :: _ as rest) ->
-        t1 - t0 = Metrics.Timeseries.interval_ns ts && spaced rest
-    | _ -> true
-  in
-  check_bool "rows on the interval grid" true (spaced (Metrics.Timeseries.rows ts));
-  check_bool "fabric bytes show up" true
-    (List.exists (fun (_, vals) -> List.exists (fun v -> v > 0) vals)
-       (Metrics.Timeseries.rows ts))
 
 (* --- corruption: UDP has no repair, so bit rot means loss --- *)
 
@@ -358,7 +330,8 @@ let suite =
     Alcotest.test_case "flow ids direction-free" `Quick test_flow_direction_free;
     Alcotest.test_case "flow id from frames" `Quick test_flow_of_frame;
     Alcotest.test_case "captured catnip echo" `Quick test_capture_catnip_echo;
-    Alcotest.test_case "capture observer-effect-free" `Quick test_capture_observer_effect_free;
+    Alcotest.test_case "capture observer-effect-free" `Quick
+      (Test_observe.arms_pass [ "capture" ]);
     Alcotest.test_case "lost tap sees injected loss" `Quick test_lost_tap_sees_injected_loss;
     Alcotest.test_case "chrome flow events" `Quick test_chrome_flow_events;
     Alcotest.test_case "validator rejects orphan flow head" `Quick
@@ -366,7 +339,7 @@ let suite =
     Alcotest.test_case "wire events recorded" `Quick test_wire_events_recorded;
     Alcotest.test_case "timeseries unit" `Quick test_timeseries_unit;
     Alcotest.test_case "timeline sampling observer-effect-free" `Quick
-      test_timeline_sampling_observer_effect_free;
+      (Test_observe.arms_pass [ "timeline" ]);
     Alcotest.test_case "udp corruption becomes loss" `Quick test_udp_corruption_to_loss;
     Alcotest.test_case "rdma immune to corruption" `Quick test_rdma_immune_to_corruption;
   ]

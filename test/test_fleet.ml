@@ -1,8 +1,9 @@
 (* Demifleet tests: causal-context framing round-trips, quorum and
    relay DAG stitching (including the sub-quorum straggler and per-edge
    wire evidence), critical-path exactness, the fleet profile's
-   sum-to-end-to-end invariant, observer-effect freedom of the always-on
-   context, and the Chrome request-lane export. *)
+   sum-to-end-to-end invariant and the Chrome request-lane export.
+   Observer-effect freedom is checked by a row of test_observe's gate
+   table. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -32,8 +33,7 @@ let test_ctx_roundtrip () =
 (* ---------- txnstore quorum under spans + flight ---------- *)
 
 let quorum_run () =
-  Harness.Fleet.txnstore ~with_causal:true ~with_spans:true ~with_flight:true ~replicas:3
-    ~count:6 ~quorum:2 Demikernel.Boot.Catnip_os
+  Harness.Fleet.txnstore ~replicas:3 ~count:6 ~quorum:2 Demikernel.Boot.Catnip_os
 
 let test_quorum_dag () =
   let r = quorum_run () in
@@ -93,8 +93,7 @@ let test_quorum_profile_exact () =
 
 let test_relay_dag () =
   let r =
-    Harness.Fleet.relay ~with_causal:true ~with_spans:true ~with_flight:true ~count:5
-      Demikernel.Boot.Catnip_os
+    Harness.Fleet.relay ~count:5 Demikernel.Boot.Catnip_os
   in
   check_int "all messages measured" 5 (List.length r.Harness.Fleet.latencies);
   let spans = Option.get r.Harness.Fleet.spans in
@@ -122,20 +121,6 @@ let test_relay_dag () =
             q.r_edges
       | _ -> Alcotest.fail "expected exactly two edges")
     reqs
-
-(* ---------- observer-effect freedom ---------- *)
-
-let test_observer_effect_free () =
-  List.iter
-    (fun flavor ->
-      let off = Harness.Fleet.txnstore ~with_causal:false ~with_spans:false ~count:4 flavor in
-      let on = Harness.Fleet.txnstore ~with_causal:true ~with_spans:true ~count:4 flavor in
-      let name = Harness.Fleet.flavor_name flavor in
-      check_string (name ^ ": trace digest identical") off.Harness.Fleet.digest
-        on.Harness.Fleet.digest;
-      check_bool (name ^ ": latencies identical") true
-        (off.Harness.Fleet.latencies = on.Harness.Fleet.latencies))
-    [ Demikernel.Boot.Catnap_os; Demikernel.Boot.Catnip_os; Demikernel.Boot.Catmint_os ]
 
 (* ---------- chrome export ---------- *)
 
@@ -173,7 +158,7 @@ let suite =
     Alcotest.test_case "quorum DAG stitches every replica" `Quick test_quorum_dag;
     Alcotest.test_case "fleet profile sums exactly" `Quick test_quorum_profile_exact;
     Alcotest.test_case "relay fan-out DAG" `Quick test_relay_dag;
-    Alcotest.test_case "causal tracing is observer-effect-free" `Quick test_observer_effect_free;
+    Alcotest.test_case "causal tracing is observer-effect-free" `Quick Test_observe.fleet_passes;
     Alcotest.test_case "fleet chrome export validates" `Quick test_chrome_export_valid;
     Alcotest.test_case "fleet DAGs deterministic" `Quick test_fleet_deterministic;
   ]

@@ -1,6 +1,6 @@
 (* Demiflight tests: the Hdr histogram's error/merge contracts, the
-   flight ring's wraparound and observer-effect-freedom, the reservoir's
-   determinism, the SLO watchdog, and tail attribution exactness. *)
+   flight ring's wraparound, the reservoir's determinism, the SLO
+   watchdog, and tail attribution exactness. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -220,27 +220,6 @@ let test_flight_dump_completeness () =
   check_bool "digest moves with new records" true
     (Engine.Flight.digest f <> Engine.Flight.digest g)
 
-let flavors =
-  [ Demikernel.Boot.Catnap_os; Demikernel.Boot.Catnip_os; Demikernel.Boot.Catmint_os ]
-
-let test_flight_observer_effect_free () =
-  (* The tentpole gate, as a test: recorder on vs off, same seed, all
-     three flavors — byte-identical trace digests and identical RTT
-     distributions. *)
-  List.iter
-    (fun flavor ->
-      let name = Harness.Fig_breakdown.flavor_name flavor in
-      let off = Harness.Wire_capture.echo ~with_flight:false ~count:8 flavor in
-      let on = Harness.Wire_capture.echo ~with_flight:true ~count:8 flavor in
-      check_string (name ^ ": digest identical, flight on vs off")
-        off.Harness.Wire_capture.digest on.Harness.Wire_capture.digest;
-      check_bool (name ^ ": RTTs identical, flight on vs off") true
-        (Harness.Wire_capture.rtt_values off = Harness.Wire_capture.rtt_values on);
-      match on.Harness.Wire_capture.flight with
-      | Some ring -> check_bool (name ^ ": ring recorded") true (Engine.Flight.total ring > 0)
-      | None -> Alcotest.fail (name ^ ": flight requested but absent"))
-    flavors
-
 (* ---------- SLO watchdog ---------- *)
 
 let test_slo_unit () =
@@ -266,10 +245,11 @@ let test_slo_captures_loss_outliers () =
      well above the loss-free RTT, every captured outlier really did
      breach and the watchdog saw at least one. *)
   let r =
-    Harness.Wire_capture.echo ~with_spans:true ~count:64 ~loss:0.05 ~slo_ns:100_000
-      Demikernel.Boot.Catnip_os
+    Harness.Common.echo
+      ~recorders:[ Harness.Common.Spans (Some 100_000) ]
+      ~count:64 ~loss:0.05 Demikernel.Boot.Catnip_os
   in
-  let spans = match r.Harness.Wire_capture.spans with Some s -> s | None -> assert false in
+  let spans = Option.get r.Harness.Common.spans in
   check_bool "at least one outlier" true (Engine.Span.outlier_count spans > 0);
   List.iter
     (fun op ->
@@ -278,13 +258,7 @@ let test_slo_captures_loss_outliers () =
           check_bool "outlier latency exceeds threshold" true
             (t - op.Engine.Span.opened_at > 100_000)
       | None -> Alcotest.fail "outlier with no close time")
-    (Engine.Span.outliers spans);
-  (* Arming the watchdog is a pure observation too. *)
-  let off =
-    Harness.Wire_capture.echo ~with_spans:false ~count:64 ~loss:0.05 Demikernel.Boot.Catnip_os
-  in
-  check_string "digest identical, watchdog armed vs no spans"
-    off.Harness.Wire_capture.digest r.Harness.Wire_capture.digest
+    (Engine.Span.outliers spans)
 
 (* ---------- tail attribution ---------- *)
 
@@ -340,7 +314,7 @@ let suite =
     Alcotest.test_case "flight ring wraparound ordering" `Quick test_flight_wraparound_ordering;
     Alcotest.test_case "flight dump completeness + digest" `Quick test_flight_dump_completeness;
     Alcotest.test_case "flight recorder is observer-effect-free" `Quick
-      test_flight_observer_effect_free;
+      (Test_observe.arms_pass [ "flight"; "slo watchdog" ]);
     Alcotest.test_case "slo watchdog units" `Quick test_slo_unit;
     Alcotest.test_case "slo captures loss outliers" `Quick test_slo_captures_loss_outliers;
     Alcotest.test_case "tail bands sum exactly" `Quick test_tail_bands_sum_exactly;

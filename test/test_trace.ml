@@ -1,7 +1,7 @@
 (* Demitrace: span recorder unit tests, op-span lifecycle over real
    libOS runs, the critical-path breakdown, the Chrome exporter and its
-   validator, and the observer-effect-free contract (digest and RTT
-   byte-identical with spans on or off). *)
+   validator. Observer-effect freedom is checked by a row of
+   test_observe's gate table. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -81,7 +81,7 @@ let test_echo_leaves_only_the_accept_open () =
     (fun flavor ->
       let r = Harness.Fig_breakdown.echo ~count:4 flavor in
       let opens = Engine.Span.open_ops r.Harness.Fig_breakdown.spans in
-      let name = Harness.Fig_breakdown.flavor_name r.Harness.Fig_breakdown.flavor in
+      let name = Harness.Common.flavor_name r.Harness.Fig_breakdown.flavor in
       check_int (name ^ ": one op still open at teardown") 1 (List.length opens);
       Alcotest.(check string)
         (name ^ ": it is the server's standing accept")
@@ -158,26 +158,6 @@ let test_clean_shutdown_leaves_no_open_spans () =
   check_int "every op span closed" 0 (List.length (Engine.Span.open_ops spans));
   check_int "push and pop were spanned" 2 (Engine.Span.op_count spans)
 
-(* --- observer-effect-free contract --- *)
-
-let test_spans_do_not_perturb_the_simulation () =
-  List.iter
-    (fun flavor ->
-      let name = Harness.Fig_breakdown.flavor_name flavor in
-      let off = Harness.Fig_breakdown.echo ~with_spans:false ~count:8 flavor in
-      let on = Harness.Fig_breakdown.echo ~with_spans:true ~count:8 flavor in
-      Alcotest.(check string)
-        (name ^ ": trace digest identical spans-on vs spans-off")
-        off.Harness.Fig_breakdown.digest on.Harness.Fig_breakdown.digest;
-      check_int
-        (name ^ ": client RTT identical")
-        off.Harness.Fig_breakdown.rtt on.Harness.Fig_breakdown.rtt;
-      Alcotest.(check (list (pair int int)))
-        (name ^ ": full RTT distribution identical")
-        (Metrics.Histogram.to_buckets off.Harness.Fig_breakdown.rtts)
-        (Metrics.Histogram.to_buckets on.Harness.Fig_breakdown.rtts))
-    flavors
-
 let test_breakdown_sums_to_rtt_exactly () =
   List.iter
     (fun flavor ->
@@ -188,7 +168,7 @@ let test_breakdown_sums_to_rtt_exactly () =
           (fun acc (_, ns) -> acc + ns)
           b.Harness.Fig_breakdown.other b.Harness.Fig_breakdown.components
       in
-      let name = Harness.Fig_breakdown.flavor_name flavor in
+      let name = Harness.Common.flavor_name flavor in
       check_int (name ^ ": components + other = RTT") r.Harness.Fig_breakdown.rtt sum;
       check_int (name ^ ": total field agrees") r.Harness.Fig_breakdown.rtt
         b.Harness.Fig_breakdown.total;
@@ -298,7 +278,7 @@ let suite =
     Alcotest.test_case "clean shutdown leaves no open spans" `Quick
       test_clean_shutdown_leaves_no_open_spans;
     Alcotest.test_case "spans do not perturb digest or RTT" `Quick
-      test_spans_do_not_perturb_the_simulation;
+      (Test_observe.arms_pass [ "spans" ]);
     Alcotest.test_case "breakdown sums to the RTT exactly" `Quick
       test_breakdown_sums_to_rtt_exactly;
     Alcotest.test_case "chrome export validates" `Quick test_chrome_export_validates;
