@@ -126,9 +126,10 @@ let gc_site = Memory.Gcbudget.site "catnap.fast_path"
 
 (* The measured window covers only the kernel drain. [service] stays
    outside it by design: every attempt is a charged syscall, and a
-   charge performs a [Fiber.sleep] effect whose continuation allocation
-   belongs to the simulation machinery, not the datapath. Steady means
-   the drain pulled no frame and fired no protocol timer. *)
+   charge is a [Fiber.sleep] that, when another event is due first,
+   suspends the fiber; that allocation belongs to the simulation
+   machinery, not the datapath. Steady means the drain pulled no frame
+   and fired no protocol timer. *)
 (* dlint: hotpath *)
 let fast_path t slot () =
   let sched = Runtime.sched t.rt in

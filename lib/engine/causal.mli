@@ -11,7 +11,7 @@
     only minted when a recorder is attached, and a detached run writes
     all-zero contexts of identical byte length, so the event
     interleaving, the clock and {!Trace.digest} are unchanged
-    ([demi fleet --check] is the gate). *)
+    ([demi observe --check] is the gate). *)
 
 type kind = Begin | Sent | Received | End
 

@@ -36,35 +36,35 @@ let add t ~time fn =
   up t.len;
   t.len <- t.len + 1
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.len <- t.len - 1;
-    let last = t.heap.(t.len) in
-    t.heap.(t.len) <- dummy;
-    if t.len > 0 then begin
-      (* Sift [last] down from the root. *)
-      let rec down i =
-        let l = (2 * i) + 1 in
-        if l >= t.len then t.heap.(i) <- last
-        else begin
-          let c =
-            if l + 1 < t.len && earlier t.heap.(l + 1) t.heap.(l) then l + 1
-            else l
-          in
-          if earlier t.heap.(c) last then begin
-            t.heap.(i) <- t.heap.(c);
-            down c
-          end
-          else t.heap.(i) <- last
-        end
-      in
-      down 0
-    end;
-    Some (top.time, top.fn)
-  end
+let min_time t =
+  if t.len = 0 then invalid_arg "Eventq.min_time: empty";
+  t.heap.(0).time
 
-let peek_time t = if t.len = 0 then None else Some t.heap.(0).time
+let pop t =
+  if t.len = 0 then invalid_arg "Eventq.pop: empty";
+  let top = t.heap.(0) in
+  t.len <- t.len - 1;
+  let last = t.heap.(t.len) in
+  t.heap.(t.len) <- dummy;
+  if t.len > 0 then begin
+    (* Sift [last] down from the root. *)
+    let rec down i =
+      let l = (2 * i) + 1 in
+      if l >= t.len then t.heap.(i) <- last
+      else begin
+        let c =
+          if l + 1 < t.len && earlier t.heap.(l + 1) t.heap.(l) then l + 1 else l
+        in
+        if earlier t.heap.(c) last then begin
+          t.heap.(i) <- t.heap.(c);
+          down c
+        end
+        else t.heap.(i) <- last
+      end
+    in
+    down 0
+  end;
+  top.fn
+
 let is_empty t = t.len = 0
 let size t = t.len

@@ -9,11 +9,14 @@ val create : unit -> t
 val add : t -> time:Clock.t -> (unit -> unit) -> unit
 (** Schedule a callback at an absolute virtual time. *)
 
-val pop : t -> (Clock.t * (unit -> unit)) option
-(** Remove and return the earliest event, or [None] if empty. *)
+val min_time : t -> Clock.t
+(** Time of the earliest pending event, without removing it. Allocates
+    nothing. Raises [Invalid_argument] when the set is empty. *)
 
-val peek_time : t -> Clock.t option
-(** Earliest pending time without removing it. *)
+val pop : t -> (unit -> unit)
+(** Remove the earliest event and return its callback; read its time
+    with {!min_time} first. Allocates nothing. Raises [Invalid_argument]
+    when the set is empty. *)
 
 val is_empty : t -> bool
 

@@ -12,7 +12,7 @@
 
     Recording is a pure observation: it never reads the clock, touches
     a PRNG or schedules anything, so arming a recorder cannot change an
-    interleaving ([demi flight --check] asserts the digests). *)
+    interleaving ([demi observe --check] asserts the digests). *)
 
 type event = {
   ft_ns : Clock.t;  (** virtual time supplied by the producer *)

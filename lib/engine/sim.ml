@@ -3,6 +3,7 @@ type t = {
   q : Eventq.t;
   prng : Prng.t;
   mutable stopped : bool;
+  mutable horizon : Clock.t; (* the running [run]'s [until]; min_int outside [run] *)
   mutable processed : int;
   mutable tracer : Trace.t option;
   mutable spans : Span.t option;
@@ -20,6 +21,7 @@ let create ?(seed = 1L) () =
     q = Eventq.create ();
     prng = Prng.create seed;
     stopped = false;
+    horizon = min_int;
     processed = 0;
     tracer = None;
     spans = None;
@@ -44,41 +46,59 @@ let schedule t ~delay fn =
 
 let stop t = t.stopped <- true
 
+(* Make [time] the current instant, exactly as popping an event at
+   [time] does. Fixed-interval sampling rides here instead of
+   scheduling its own events: the pending-event set — and so the
+   interleaving every other component observes — is byte-identical with
+   sampling on or off. Each boundary crossed since the last event fires
+   once, before the event executes, so a sample reads the state as of
+   its nominal boundary time. *)
+let advance t time =
+  t.now <- time;
+  (match t.sampler with
+  | Some f ->
+      while t.sampler_next <= t.now do
+        f t.sampler_next;
+        t.sampler_next <- t.sampler_next + t.sampler_interval
+      done
+  | None -> ());
+  t.processed <- t.processed + 1
+
 let run ?until t =
   t.stopped <- false;
-  let horizon_reached time =
-    match until with Some u -> time > u | None -> false
-  in
+  let horizon = match until with Some u -> u | None -> max_int in
+  t.horizon <- horizon;
   let rec loop () =
-    if not t.stopped then
-      match Eventq.peek_time t.q with
-      | None -> ()
-      | Some time when horizon_reached time -> (
-          match until with Some u -> t.now <- u | None -> ())
-      | Some _ -> (
-          match Eventq.pop t.q with
-          | None -> ()
-          | Some (time, fn) ->
-              t.now <- time;
-              (* Fixed-interval sampling rides the run loop instead of
-                 scheduling its own events: the pending-event set — and
-                 so the interleaving every other component observes — is
-                 byte-identical with sampling on or off. Each boundary
-                 crossed since the last event fires once, before the
-                 event executes, so a sample reads the state as of its
-                 nominal boundary time. *)
-              (match t.sampler with
-              | Some f ->
-                  while t.sampler_next <= t.now do
-                    f t.sampler_next;
-                    t.sampler_next <- t.sampler_next + t.sampler_interval
-                  done
-              | None -> ());
-              t.processed <- t.processed + 1;
-              fn ();
-              loop ())
+    if (not t.stopped) && not (Eventq.is_empty t.q) then begin
+      let time = Eventq.min_time t.q in
+      if time > horizon then t.now <- horizon
+      else begin
+        let fn = Eventq.pop t.q in
+        advance t time;
+        fn ();
+        loop ()
+      end
+    end
   in
-  loop ()
+  loop ();
+  t.horizon <- min_int
+
+(* An event at [now + delay] would get a fresh, largest seq, so it is
+   the very next pop exactly when the run goes on (not stopped, within
+   the horizon) and every queued event is strictly later: one queued at
+   that same instant has a smaller seq and runs first. *)
+let fast_forward t ~delay =
+  assert (delay >= 0);
+  let time = t.now + delay in
+  if
+    (not t.stopped)
+    && time <= t.horizon
+    && (Eventq.is_empty t.q || Eventq.min_time t.q > time)
+  then begin
+    advance t time;
+    true
+  end
+  else false
 
 let set_sampler t ~interval f =
   assert (interval > 0);

@@ -25,12 +25,39 @@ val stop : t -> unit
 (** Make [run] return after the current event. *)
 
 val run : ?until:Clock.t -> t -> unit
-(** Execute events in time order until the set is empty, [stop] is
-    called, or the next event lies beyond [until] (in which case the
-    clock is advanced to [until] and the event is left pending). *)
+(** Execute events in (time, insertion) order until the set is empty,
+    [stop] is called, or the next event lies beyond [until] (in which
+    case the clock is advanced to [until] and the event is left
+    pending). *)
+
+val fast_forward : t -> delay:Clock.t -> bool
+(** [fast_forward t ~delay] is the in-place form of scheduling an event
+    [delay] ns from now ([delay >= 0]) whose callback is "carry on": it
+    succeeds exactly when that event would be the very next one [run]
+    pops, namely when all of these hold:
+    - a [run] is in progress and has not been [stop]ped;
+    - [now + delay] is at or before the run's [until] (unbounded
+      without one);
+    - the set is empty, or its earliest event is {e strictly} later
+      than [now + delay] (an event queued at that same instant was
+      inserted first and must run first).
+
+    On success it does what popping that event would do: the clock moves
+    to [now + delay], sampler boundaries crossed on the way fire, and
+    {!events_processed} counts one event; it allocates nothing. On
+    [false] nothing changed and the caller must schedule the event. The
+    result is the same run either way: only insertion sequence numbers
+    are skipped, never reordered, so digests, [events=] counts and
+    sampler rows are identical. {!Fiber.sleep} is the one caller.
+
+    The caller must be the tail of the current event: nothing may run
+    after it in this event except what the scheduled callback would have
+    run. A fiber resumed in tail position of an event callback (as
+    {!Condvar} and {!Fiber.sleep} do) satisfies this. *)
 
 val events_processed : t -> int
-(** Total events executed, for sanity checks and reporting. *)
+(** Total events executed (including fast-forwarded ones), for sanity
+    checks and reporting. *)
 
 (** {1 Fixed-interval sampling (Demiscope timelines)} *)
 
@@ -89,7 +116,7 @@ val enable_flight : ?capacity:int -> t -> Flight.t
     ring of typed records cheap enough to stay armed in production
     runs. Recording is a pure observation: enabling it must not change
     the event interleaving, the clock, or {!Trace.digest}
-    ([demi flight --check] is the gate). *)
+    ([demi observe --check] is the gate). *)
 
 val flight : t -> Flight.t option
 
@@ -100,7 +127,7 @@ val enable_causal : ?capacity:int -> t -> Causal.t
     attach a teardown hook is registered that warns (stderr) when
     events were dropped. Like spans and the flight ring, the recorder
     is a pure observer: enabling it must not change the event
-    interleaving, the clock, or {!Trace.digest} ([demi fleet --check]
+    interleaving, the clock, or {!Trace.digest} ([demi observe --check]
     is the gate). *)
 
 val causal : t -> Causal.t option

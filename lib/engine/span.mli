@@ -8,7 +8,7 @@
       for time they have {e already} charged through the cost model;
       the recorder never charges, sleeps or schedules, so enabling it
       cannot perturb the event interleaving (the observer-effect-free
-      property [demi trace] asserts).
+      property [demi observe --check] asserts).
     - {b op spans} — one span per queue token, opened when a PDPIX
       [push]/[pop]/... is submitted and closed when its completion is
       delivered. Spans left open at teardown are leaks and are reported

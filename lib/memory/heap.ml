@@ -139,16 +139,28 @@ let new_superblock t class_index =
   | Register_on_demand | Not_dma -> ());
   sb
 
+let poison_word = Bytes.get_int64_ne (Bytes.make 8 poison_byte) 0
+
+(* The first non-poison byte of [store.[i, stop)], as an index from
+   [base]. Whole words are compared 8 bytes at a time; a damaged word
+   and the partial word at the end (object sizes need not be multiples
+   of 8) are rescanned bytewise for the exact index. *)
+let rec damaged_byte store ~base ~stop i =
+  if i >= stop then None
+  else if Bytes.get store i <> poison_byte then Some (i - base)
+  else damaged_byte store ~base ~stop (i + 1)
+
+let rec damaged_word store ~base ~stop i =
+  if i + 8 > stop then damaged_byte store ~base ~stop i
+  else if (Bytes.get_int64_ne store i : int64) = poison_word then
+    damaged_word store ~base ~stop (i + 8)
+  else damaged_byte store ~base ~stop i
+
 (* Scan a free slot for non-poison bytes; [None] means the canary is
    intact. *)
 let canary_damage sb slot =
   let base = slot * sb.object_size in
-  let rec scan i =
-    if i >= sb.object_size then None
-    else if Bytes.get sb.store (base + i) <> poison_byte then Some i
-    else scan (i + 1)
-  in
-  scan 0
+  damaged_word sb.store ~base ~stop:(base + sb.object_size) base
 
 let verify_canary sb slot =
   match canary_damage sb slot with

@@ -49,7 +49,7 @@ val set_loss : t -> float -> unit
     Taps are pure observers of frames the fabric was moving anyway:
     they never touch the clock, the PRNG or the event queue, so
     attaching one cannot change {!Engine.Trace.digest} (checked by
-    [make pcap-smoke]). *)
+    [demi observe --check]). *)
 
 type drop_reason =
   | Loss  (** injected i.i.d. frame loss. *)

@@ -23,11 +23,10 @@ let test_eventq_order () =
   Engine.Eventq.add q ~time:10 (record "a");
   Engine.Eventq.add q ~time:20 (record "b");
   let rec drain () =
-    match Engine.Eventq.pop q with
-    | None -> ()
-    | Some (_, fn) ->
-        fn ();
-        drain ()
+    if not (Engine.Eventq.is_empty q) then begin
+      Engine.Eventq.pop q ();
+      drain ()
+    end
   in
   drain ();
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !order)
@@ -39,11 +38,10 @@ let test_eventq_ties_fifo () =
     Engine.Eventq.add q ~time:5 (fun () -> order := i :: !order)
   done;
   let rec drain () =
-    match Engine.Eventq.pop q with
-    | None -> ()
-    | Some (_, fn) ->
-        fn ();
-        drain ()
+    if not (Engine.Eventq.is_empty q) then begin
+      Engine.Eventq.pop q ();
+      drain ()
+    end
   in
   drain ();
   Alcotest.(check (list int)) "fifo ties" (List.init 100 Fun.id) (List.rev !order)
@@ -55,9 +53,12 @@ let test_eventq_heap_property =
       let q = Engine.Eventq.create () in
       List.iter (fun time -> Engine.Eventq.add q ~time (fun () -> ())) times;
       let rec drain acc =
-        match Engine.Eventq.pop q with
-        | None -> List.rev acc
-        | Some (time, _) -> drain (time :: acc)
+        if Engine.Eventq.is_empty q then List.rev acc
+        else begin
+          let time = Engine.Eventq.min_time q in
+          let (_ : unit -> unit) = Engine.Eventq.pop q in
+          drain (time :: acc)
+        end
       in
       let popped = drain [] in
       popped = List.sort compare times)
@@ -292,24 +293,26 @@ let test_eventq_interleaved =
       let popped = ref [] in
       let ok = ref true in
       let pop_one () =
-        match Engine.Eventq.pop q with
-        | None -> ok := !ok && !model = []
-        | Some (time, fn) ->
-            fn ();
-            now := max !now time;
-            let best =
-              List.fold_left
-                (fun acc (t, i) ->
-                  match acc with
-                  | Some (bt, bi) when bt < t || (bt = t && bi < i) -> acc
-                  | _ -> Some (t, i))
-                None !model
-            in
-            (match (best, !popped) with
-            | Some (bt, bi), id :: _ ->
-                ok := !ok && time = bt && id = bi;
-                model := List.filter (fun (t, i) -> (t, i) <> (bt, bi)) !model
-            | _, _ -> ok := false)
+        if Engine.Eventq.is_empty q then ok := !ok && !model = []
+        else begin
+          let time = Engine.Eventq.min_time q in
+          let fn = Engine.Eventq.pop q in
+          fn ();
+          now := max !now time;
+          let best =
+            List.fold_left
+              (fun acc (t, i) ->
+                match acc with
+                | Some (bt, bi) when bt < t || (bt = t && bi < i) -> acc
+                | _ -> Some (t, i))
+              None !model
+          in
+          match (best, !popped) with
+          | Some (bt, bi), id :: _ ->
+              ok := !ok && time = bt && id = bi;
+              model := List.filter (fun (t, i) -> (t, i) <> (bt, bi)) !model
+          | _, _ -> ok := false
+        end
       in
       List.iter
         (function
@@ -537,6 +540,129 @@ let test_wheel_releases_payloads () =
   check_int "cancelled and fired payloads collected" 2 !collected;
   check_int "one entry still armed" 1 (Engine.Timerwheel.size w)
 
+(* --- Fast-forwarded sleeps ---
+
+   [Fiber.sleep] advances the clock in place when its wake-up would be
+   the next event popped. The property below runs random multi-fiber
+   programs twice, once with [Fiber.sleep] and once with the suspending
+   sleep built from the public API, and demands the same run. *)
+
+type op =
+  | Sleep of int
+  | Wait of int
+  | Wait_timeout of int * int
+  | Broadcast of int
+  | Schedule of int * int option (* callback delay, condvar it broadcasts *)
+  | Stop
+
+let show_op = function
+  | Sleep d -> Printf.sprintf "sleep %d" d
+  | Wait c -> Printf.sprintf "wait cv%d" c
+  | Wait_timeout (c, d) -> Printf.sprintf "wait cv%d timeout %d" c d
+  | Broadcast c -> Printf.sprintf "broadcast cv%d" c
+  | Schedule (d, None) -> Printf.sprintf "schedule %d" d
+  | Schedule (d, Some c) -> Printf.sprintf "schedule %d broadcast cv%d" d c
+  | Stop -> "stop"
+
+(* (fibers as (start delay, ops), sampler interval, run ~until slice) *)
+let arb_program =
+  let open QCheck.Gen in
+  let cv = int_bound 1 in
+  let op =
+    frequency
+      [
+        (6, map (fun d -> Sleep d) (oneofl [ 0; 0; 1; 2; 3; 5; 8; 13 ]));
+        (1, map (fun c -> Wait c) cv);
+        (1, map2 (fun c d -> Wait_timeout (c, d)) cv (int_bound 20));
+        (2, map (fun c -> Broadcast c) cv);
+        (2, map2 (fun d c -> Schedule (d, c)) (int_bound 20) (opt cv));
+        (1, return Stop);
+      ]
+  in
+  let fiber = pair (oneofl [ 0; 0; 1; 3 ]) (list_size (int_bound 12) op) in
+  let print (fibers, interval, slice) =
+    Printf.sprintf "sampler %d, slices %d\n%s" interval slice
+      (String.concat "\n"
+         (List.mapi
+            (fun i (start, ops) ->
+              Printf.sprintf "fiber %d @%d: %s" i start (String.concat "; " (List.map show_op ops)))
+            fibers))
+  in
+  QCheck.make ~print (triple (list_size (int_range 1 4) fiber) (int_range 1 15) (int_range 1 30))
+
+let suspending_sleep sim delay =
+  Engine.Fiber.suspend (fun resume -> Engine.Sim.schedule sim ~delay (fun () -> resume ()))
+
+(* Returns the (time, tag) log, the sampler rows (boundary, log length
+   then), (now, events) after every [run], and the final (events, now). *)
+let run_program ~sleep (fibers, interval, slice) =
+  let sim = Engine.Sim.create () in
+  let cvs = Array.init 2 (fun _ -> Engine.Condvar.create sim) in
+  let log = ref [] in
+  let note tag = log := (Engine.Sim.now sim, tag) :: !log in
+  let samples = ref [] in
+  Engine.Sim.set_sampler sim ~interval (fun b -> samples := (b, List.length !log) :: !samples);
+  List.iteri
+    (fun i (start, ops) ->
+      Engine.Sim.schedule sim ~delay:start (fun () ->
+          Engine.Fiber.spawn sim (fun () ->
+              List.iteri
+                (fun j op ->
+                  let tag = Printf.sprintf "%d.%d" i j in
+                  (match op with
+                  | Sleep d -> sleep sim d
+                  | Wait c -> Engine.Condvar.wait cvs.(c)
+                  | Wait_timeout (c, d) -> (
+                      match Engine.Condvar.wait_timeout cvs.(c) d with
+                      | `Signaled -> note (tag ^ " signaled")
+                      | `Timeout -> note (tag ^ " timeout"))
+                  | Broadcast c -> Engine.Condvar.broadcast cvs.(c)
+                  | Schedule (d, c) ->
+                      Engine.Sim.schedule sim ~delay:d (fun () ->
+                          note (tag ^ " callback");
+                          Option.iter (fun c -> Engine.Condvar.broadcast cvs.(c)) c)
+                  | Stop -> Engine.Sim.stop sim);
+                  note tag)
+                ops)))
+    fibers;
+  let runs = ref [] in
+  let run ?until () =
+    Engine.Sim.run ?until sim;
+    runs := (Engine.Sim.now sim, Engine.Sim.events_processed sim) :: !runs
+  in
+  for k = 1 to 8 do
+    run ~until:(k * slice) ()
+  done;
+  (* Each [Stop] ends at most one run; the program has fewer than 64. *)
+  for _ = 1 to 64 do
+    run ()
+  done;
+  ( List.rev !log,
+    List.rev !samples,
+    List.rev !runs,
+    (Engine.Sim.events_processed sim, Engine.Sim.now sim) )
+
+let test_fast_forward_equivalent =
+  QCheck.Test.make ~name:"fast-forwarded sleeps give the same run as suspending ones"
+    ~count:500 arb_program (fun prog ->
+      run_program ~sleep:Engine.Fiber.sleep prog = run_program ~sleep:suspending_sleep prog)
+
+(* A lone fiber's sleeps are never contended, so each one must take the
+   in-place path: no effect, no closure, no event entry. *)
+let test_uncontended_sleep_allocates_nothing () =
+  let sim = Engine.Sim.create () in
+  let words = ref (-1) in
+  Engine.Fiber.spawn sim (fun () ->
+      let w0 = minor_words () in
+      for _ = 1 to 1000 do
+        Engine.Fiber.sleep sim 7
+      done;
+      words := minor_words () - w0);
+  Engine.Sim.run sim;
+  check_int "minor words across 1000 sleeps" 0 !words;
+  check_int "clock" 7_000 (Engine.Sim.now sim);
+  check_int "one event per sleep, plus the spawn" 1_001 (Engine.Sim.events_processed sim)
+
 let suite =
   [
     Alcotest.test_case "clock pretty-printing" `Quick test_clock_pp;
@@ -571,4 +697,7 @@ let suite =
     Alcotest.test_case "timerwheel steady cycle is scale-invariant" `Quick
       test_wheel_scale_invariance;
     Alcotest.test_case "timerwheel releases removed payloads" `Quick test_wheel_releases_payloads;
+    QCheck_alcotest.to_alcotest test_fast_forward_equivalent;
+    Alcotest.test_case "uncontended sleeps allocate nothing" `Quick
+      test_uncontended_sleep_allocates_nothing;
   ]

@@ -192,6 +192,42 @@ let test_sanitizer_catches_write_after_free () =
   | None -> Alcotest.fail "sanitizing heap must produce a report"
   | Some r -> check_int "one canary violation recorded" 1 r.canary_violations
 
+(* The canary scan compares 8 bytes at a time, then falls back to bytes
+   for the exact index: damage at the first, a middle, the last and an
+   unaligned byte of a small and a large object must be found by both
+   the end-of-run scan and the re-allocation check, at that index. A
+   3-byte headroom makes object sizes end in a partial word. *)
+let test_sanitizer_canary_reports_exact_byte () =
+  let heap headroom =
+    Memory.Heap.create ~mode:Memory.Heap.Pool_backed ~sanitize:true ?headroom ()
+  in
+  List.iter
+    (fun (headroom, size) ->
+      let object_size = Memory.Heap.capacity (Memory.Heap.alloc (heap headroom) size) in
+      List.iter
+        (fun idx ->
+          let h = heap headroom in
+          let b = Memory.Heap.alloc ~site:"test.canary" h size in
+          let data = Memory.Heap.data b in
+          let start = Memory.Heap.offset b - Memory.Heap.rel_offset b in
+          Memory.Heap.free b;
+          Bytes.set data (start + idx) '\xdf';
+          let what = Printf.sprintf "%d B class of %d B objects, byte %d" size object_size idx in
+          (match Memory.Heap.sanitizer_report h with
+          | Some r -> check_int (what ^ ": end-of-run scan") 1 r.canary_violations
+          | None -> Alcotest.fail "sanitizing heap must produce a report");
+          match Memory.Heap.alloc h size with
+          | _ -> Alcotest.failf "%s: re-alloc should have tripped the canary" what
+          | exception Memory.Heap.Canary_violation msg ->
+              let expected =
+                Printf.sprintf
+                  "%s: write-after-free detected at byte %d of a freed object (last owner: test.canary)"
+                  (Memory.Heap.label h) idx
+              in
+              Alcotest.(check string) what expected msg)
+        [ 0; object_size / 2; object_size - 1; (object_size / 2) + 5 ])
+    [ (None, 64); (None, 16 * 1024); (Some 3, 64); (Some 3, 16 * 1024) ]
+
 let test_sanitizer_uaf_protected_slot_not_poisoned () =
   (* The §5.3 deferred-free path: while the libOS still holds the
      buffer (e.g. queued for retransmit), the payload must remain
@@ -441,6 +477,8 @@ let suite =
       test_sanitizer_poisons_freed_objects;
     Alcotest.test_case "sanitizer catches write-after-free" `Quick
       test_sanitizer_catches_write_after_free;
+    Alcotest.test_case "sanitizer canary reports the exact byte" `Quick
+      test_sanitizer_canary_reports_exact_byte;
     Alcotest.test_case "sanitizer defers poison while libOS holds ref" `Quick
       test_sanitizer_uaf_protected_slot_not_poisoned;
     Alcotest.test_case "sanitizer deferred-free lifecycle" `Quick
