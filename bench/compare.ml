@@ -11,154 +11,20 @@
    that grew by more than [regress_factor] between two committed
    records is flagged as a regression and fails the run.
 
-   No JSON library ships in the tree, so a ~60-line recursive-descent
-   parser lives here — the artifacts are machine-written by our own
-   printf and small, so this is parsing our own output, not the
-   internet's. *)
+   Each family's schema lives here and nowhere else: `bench --
+   wallclock` and `bench -- scale` run [check_written] on the file they
+   just wrote. *)
 
-(* ---------- a minimal JSON reader ---------- *)
+module Json = Metrics.Json
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let i = ref 0 in
-  let peek () = if !i < n then s.[!i] else '\255' in
-  let adv () = incr i in
-  let skip_ws () =
-    while !i < n && (match s.[!i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      adv ()
-    done
-  in
-  let expect c =
-    if peek () <> c then raise (Bad (Printf.sprintf "expected '%c' at byte %d" c !i));
-    adv ()
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !i >= n then raise (Bad "unterminated string");
-      match s.[!i] with
-      | '"' -> adv ()
-      | '\\' ->
-          adv ();
-          (match peek () with
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'u' ->
-              (* artifacts never emit \u escapes; keep them opaque *)
-              Buffer.add_string b "\\u"
-          | c -> Buffer.add_char b c);
-          adv ();
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          adv ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !i in
-    while
-      !i < n
-      && match s.[!i] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    do
-      adv ()
-    done;
-    match float_of_string_opt (String.sub s start (!i - start)) with
-    | Some f -> f
-    | None -> raise (Bad (Printf.sprintf "bad number at byte %d" start))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        adv ();
-        skip_ws ();
-        if peek () = '}' then begin
-          adv ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec fields_go () =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            if peek () = ',' then begin
-              adv ();
-              fields_go ()
-            end
-            else expect '}'
-          in
-          fields_go ();
-          Obj (List.rev !fields)
-        end
-    | '[' ->
-        adv ();
-        skip_ws ();
-        if peek () = ']' then begin
-          adv ();
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec items_go () =
-            let v = value () in
-            items := v :: !items;
-            skip_ws ();
-            if peek () = ',' then begin
-              adv ();
-              items_go ()
-            end
-            else expect ']'
-          in
-          items_go ();
-          Arr (List.rev !items)
-        end
-    | '"' -> Str (string_lit ())
-    | 't' ->
-        i := !i + 4;
-        Bool true
-    | 'f' ->
-        i := !i + 5;
-        Bool false
-    | 'n' ->
-        i := !i + 4;
-        Null
-    | c -> if c = '-' || (c >= '0' && c <= '9') then Num (number ()) else raise (Bad (Printf.sprintf "unexpected '%c' at byte %d" c !i))
-  in
-  let v = value () in
-  skip_ws ();
-  if !i <> n then raise (Bad (Printf.sprintf "trailing bytes at %d" !i));
-  v
-
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-let num_of = function Num f -> Some f | _ -> None
-let str_of = function Str s -> Some s | _ -> None
-let arr_of = function Arr l -> Some l | _ -> None
-let fnum j k = Option.bind (member k j) num_of
-let fint j k = Option.map int_of_float (fnum j k)
-let fstr j k = Option.bind (member k j) str_of
+let fnum j k = Option.bind (Json.member k j) Json.to_float
+let fint j k = Option.bind (Json.member k j) Json.to_int
+let fstr j k = Option.bind (Json.member k j) Json.to_str
+let farr j k = Option.bind (Json.member k j) Json.to_list
 
 (* ---------- artifact discovery ---------- *)
 
-type artifact = { path : string; pr : int; doc : json }
+type artifact = { path : string; pr : int; doc : Json.t }
 
 let pr_of_name name =
   (* BENCH_pr<N>.json, nothing else *)
@@ -168,22 +34,21 @@ let pr_of_name name =
     int_of_string_opt (String.sub name lp (ln - lp - ls))
   else None
 
+let read_json path =
+  let ic = open_in path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Json.parse s
+
 let load_artifacts dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter_map (fun name ->
-         match pr_of_name name with
-         | None -> None
-         | Some pr ->
-             let path = Filename.concat dir name in
-             let ic = open_in path in
-             let s = really_input_string ic (in_channel_length ic) in
-             close_in ic;
-             Some (path, pr, s))
-  |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
-  |> List.map (fun (path, pr, s) ->
-         match parse s with
-         | doc -> { path; pr; doc }
-         | exception Bad e ->
+         Option.map (fun pr -> (Filename.concat dir name, pr)) (pr_of_name name))
+  |> List.sort (fun (_, a) (_, b) -> compare a b)
+  |> List.map (fun (path, pr) ->
+         match read_json path with
+         | Ok doc -> { path; pr; doc }
+         | Error e ->
              Printf.eprintf "compare: %s is not valid JSON: %s\n%!" path e;
              exit 1)
 
@@ -200,7 +65,7 @@ let flag path fmt =
 
 let require path doc keys =
   List.iter
-    (fun k -> if member k doc = None then flag path "missing key \"%s\"" k)
+    (fun k -> if Json.member k doc = None then flag path "missing key \"%s\"" k)
     keys
 
 let scale_point_keys =
@@ -238,48 +103,51 @@ let check_band path a band =
 let check_scale_point path a point =
   require path point scale_point_keys;
   if a.pr >= 9 then require path point scale_point_keys_pr9;
+  let conns = Option.value ~default:0 (fint point "conns") in
+  let must key ok why =
+    match fint point key with
+    | Some v when not (ok v) -> flag path "conns=%d: %s = %d (%s)" conns key v why
+    | _ -> ()
+  in
   (match (fint point "ops", fint point "completed") with
   | Some ops, Some completed when ops <> completed ->
-      flag path "conns=%d: completed %d of %d ops"
-        (Option.value ~default:0 (fint point "conns"))
-        completed ops
+      flag path "conns=%d: completed %d of %d ops" conns completed ops
   | _ -> ());
-  (match fint point "gc_poll_violations" with
-  | Some 0 -> ()
-  | Some v -> flag path "conns=%d: %d gc-poll violations (steady polls must allocate nothing)"
-        (Option.value ~default:0 (fint point "conns")) v
-  | None -> ());
-  (match fint point "pool_errors" with
-  | Some 0 | None -> ()
-  | Some v ->
-      flag path "conns=%d: %d pool sanitizer errors"
-        (Option.value ~default:0 (fint point "conns"))
-        v);
-  match Option.bind (member "attribution" point) (fun att -> Option.bind (member "bands" att) arr_of) with
+  must "steady_polls" (fun v -> v > 0) "the gc-budget oracle measured no steady poll";
+  must "gc_poll_violations" (( = ) 0) "steady polls must allocate nothing";
+  must "pool_errors" (( = ) 0) "the pool sanitizer caught errors";
+  match Option.bind (Json.member "attribution" point) (fun att -> farr att "bands") with
   | Some bands -> List.iter (check_band path a) bands
   | None -> if a.pr >= 9 then flag path "attribution.bands missing"
 
 let check_scale a =
   require a.path a.doc
     [ "pr"; "mode"; "workload"; "sweep"; "attempted"; "largest_sustained"; "limiting_factor"; "churn_10k" ];
-  match Option.bind (member "sweep" a.doc) arr_of with
+  match farr a.doc "sweep" with
   | Some points when points <> [] -> List.iter (check_scale_point a.path a) points
   | Some [] -> flag a.path "empty sweep"
   | _ -> flag a.path "sweep is not an array"
 
+(* Records whose "pr" is 6 or later also carry per-op GC figures
+   against the Demialloc baseline. *)
+let wallclock_keys = [ "pr"; "mode"; "samples"; "baseline"; "echo_us_per_op"; "speedup_churn" ]
+let wallclock_keys_pr6 = [ "echo_gc_kb_per_op"; "gc_reduction_echo"; "gc_reduction_churn" ]
+let sample_keys = [ "wall_s"; "events_per_sec"; "frames_per_sec"; "gc_alloc_mb"; "ops" ]
+
 let check_wallclock a =
-  require a.path a.doc [ "pr"; "mode"; "samples"; "baseline" ];
-  match member "samples" a.doc with
+  require a.path a.doc wallclock_keys;
+  if a.pr >= 6 then require a.path a.doc wallclock_keys_pr6;
+  match Json.member "samples" a.doc with
   | Some samples ->
       List.iter
         (fun name ->
-          match member name samples with
-          | Some s -> require a.path s [ "wall_s"; "gc_alloc_mb"; "ops" ]
+          match Json.member name samples with
+          | Some s -> require a.path s sample_keys
           | None -> flag a.path "samples.%s missing" name)
         [ "echo"; "churn" ]
   | None -> ()
 
-let family a = if member "sweep" a.doc <> None then `Scale else `Wallclock
+let family a = if Json.member "sweep" a.doc <> None then `Scale else `Wallclock
 
 let check_artifact a =
   (match fint a.doc "pr" with
@@ -304,51 +172,35 @@ let compare_scale_points path_old path_new old_pt new_pt =
     [ "p50_ns"; "p99_ns"; "p999_ns"; "gc_alloc_mb" ]
 
 let compare_pair older newer =
-  match (family older, family newer) with
-  | `Scale, `Scale -> (
-      match (fstr older.doc "mode", fstr newer.doc "mode") with
-      | Some mo, Some mn when mo <> mn ->
-          Printf.printf "  skip %s vs %s: modes differ (%s vs %s)\n%!" older.path newer.path mo
-            mn
-      | _ -> (
-          match
-            ( Option.bind (member "sweep" older.doc) arr_of,
-              Option.bind (member "sweep" newer.doc) arr_of )
-          with
-          | Some old_pts, Some new_pts ->
-              List.iter
-                (fun np ->
-                  match fint np "conns" with
-                  | None -> ()
-                  | Some c -> (
-                      match
-                        List.find_opt (fun op -> fint op "conns" = Some c) old_pts
-                      with
-                      | Some op -> compare_scale_points older.path newer.path op np
-                      | None -> ()))
-                new_pts
-          | _ -> ()))
-  | `Wallclock, `Wallclock -> (
-      match (fstr older.doc "mode", fstr newer.doc "mode") with
-      | Some mo, Some mn when mo <> mn ->
-          Printf.printf "  skip %s vs %s: modes differ (%s vs %s)\n%!" older.path newer.path mo
-            mn
-      | _ ->
+  let sample doc name = Option.bind (Json.member "samples" doc) (Json.member name) in
+  match (fstr older.doc "mode", fstr newer.doc "mode") with
+  | Some mo, Some mn when mo <> mn ->
+      Printf.printf "  skip %s vs %s: modes differ (%s vs %s)\n%!" older.path newer.path mo mn
+  | _ -> (
+      match (family older, family newer, farr older.doc "sweep", farr newer.doc "sweep") with
+      | `Scale, `Scale, Some old_pts, Some new_pts ->
           List.iter
-            (fun sample ->
-              match
-                ( Option.bind (member "samples" older.doc) (member sample),
-                  Option.bind (member "samples" newer.doc) (member sample) )
-              with
+            (fun np ->
+              match fint np "conns" with
+              | None -> ()
+              | Some c -> (
+                  match List.find_opt (fun op -> fint op "conns" = Some c) old_pts with
+                  | Some op -> compare_scale_points older.path newer.path op np
+                  | None -> ()))
+            new_pts
+      | `Wallclock, `Wallclock, _, _ ->
+          List.iter
+            (fun name ->
+              match (sample older.doc name, sample newer.doc name) with
               | Some os, Some ns -> (
                   match (fnum os "gc_alloc_mb", fnum ns "gc_alloc_mb") with
                   | Some o, Some n when o > 0. && n > o *. regress_factor ->
-                      flag newer.path "%s gc_alloc_mb regressed %.1f -> %.1f vs %s" sample o n
+                      flag newer.path "%s gc_alloc_mb regressed %.1f -> %.1f vs %s" name o n
                         older.path
                   | _ -> ())
               | _ -> ())
-            [ "echo"; "churn" ])
-  | _ -> () (* families changed between PRs; nothing comparable *)
+            [ "echo"; "churn" ]
+      | _ -> () (* families changed between PRs; nothing comparable *))
 
 let rec consecutive f = function
   | a :: (b :: _ as rest) ->
@@ -358,6 +210,28 @@ let rec consecutive f = function
 
 (* ---------- driver ---------- *)
 
+(* Schema-check one artifact; true when it passed. *)
+let checked a =
+  let before = !failures in
+  check_artifact a;
+  if !failures = before then
+    Printf.printf "  %s (pr %d, %s family): schema OK\n%!" a.path a.pr
+      (match family a with `Scale -> "scale" | `Wallclock -> "wallclock");
+  !failures = before
+
+(* The artifact a bench run just wrote, under any file name: its own
+   "pr" field stands in for the one a BENCH_pr<N>.json name carries.
+   Exits 1 unless it passes its family schema. *)
+let check_written path =
+  let ok =
+    match read_json path with
+    | Error e ->
+        flag path "not valid JSON: %s" e;
+        false
+    | Ok doc -> checked { path; pr = Option.value ~default:0 (fint doc "pr"); doc }
+  in
+  if not ok then exit 1
+
 let run ?(dir = ".") () =
   let artifacts = load_artifacts dir in
   if artifacts = [] then begin
@@ -365,14 +239,7 @@ let run ?(dir = ".") () =
     exit 1
   end;
   Printf.printf "bench compare: %d artifact(s)\n%!" (List.length artifacts);
-  List.iter
-    (fun a ->
-      let before = !failures in
-      check_artifact a;
-      if !failures = before then
-        Printf.printf "  %s (pr %d, %s family): schema OK\n%!" a.path a.pr
-          (match family a with `Scale -> "scale" | `Wallclock -> "wallclock"))
-    artifacts;
+  List.iter (fun a -> ignore (checked a)) artifacts;
   let by_family fam = List.filter (fun a -> family a = fam) artifacts in
   consecutive compare_pair (by_family `Scale);
   consecutive compare_pair (by_family `Wallclock);

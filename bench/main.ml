@@ -399,6 +399,10 @@ let run_all ~full =
   run_robustness ();
   run_micro ()
 
+let args () = Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2))
+
+let rec out_of = function "--out" :: path :: _ -> Some path | _ :: rest -> out_of rest | [] -> None
+
 let () =
   let arg = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   Harness.Common.default_count := 2_000;
@@ -429,28 +433,15 @@ let () =
   | "micro" -> run_micro ()
   | "wallclock" ->
       (* wallclock [quick] [--out FILE] *)
-      let rest = Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)) in
-      let quick = List.mem "quick" rest in
-      let rec out_of = function
-        | "--out" :: path :: _ -> Some path
-        | _ :: rest -> out_of rest
-        | [] -> None
-      in
-      (match out_of rest with
-      | Some out -> Wallclock.run ~quick ~out ()
-      | None -> Wallclock.run ~quick ())
+      let rest = args () in
+      (* the written record must pass its schema in compare.ml *)
+      Compare.check_written (Wallclock.run ~quick:(List.mem "quick" rest) ?out:(out_of rest) ())
   | "scale" ->
       (* scale [quick] [--pr N] [--out FILE]; the artifact defaults to
          BENCH_pr<N>.json so the file name tracks the PR that produced
          it (PR 8's run was committed under its own number; --pr keeps
          later reruns honestly labelled). *)
-      let rest = Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)) in
-      let quick = List.mem "quick" rest in
-      let rec out_of = function
-        | "--out" :: path :: _ -> Some path
-        | _ :: rest -> out_of rest
-        | [] -> None
-      in
+      let rest = args () in
       let rec pr_of = function
         | "--pr" :: n :: _ -> (
             match int_of_string_opt n with
@@ -461,15 +452,13 @@ let () =
         | _ :: rest -> pr_of rest
         | [] -> 10
       in
-      let pr = pr_of rest in
-      (match out_of rest with
-      | Some out -> Scale.run ~quick ~pr ~out ()
-      | None -> Scale.run ~quick ~pr ())
+      Compare.check_written
+        (Scale.run ~quick:(List.mem "quick" rest) ~pr:(pr_of rest) ?out:(out_of rest) ())
   | "compare" ->
       (* compare [--dir D]: validate every committed BENCH_pr*.json
          against its family schema and flag regressions between
          consecutive artifacts (the `make bench-guard` entry point). *)
-      let rest = Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)) in
+      let rest = args () in
       let rec dir_of = function
         | "--dir" :: d :: _ -> Some d
         | _ :: rest -> dir_of rest

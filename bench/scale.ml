@@ -665,89 +665,58 @@ let run_point ~conns:n ~ops_per_conn ~churn_fraction ~churn_after ~rate_per_conn
 let pr6_churn_wall_s = 0.1883
 let pr6_churn_gc_mb = 184.3
 
-(* ---------- JSON emission + self-validation ---------- *)
+(* ---------- JSON record ---------- *)
 
 let band_json b =
-  Printf.sprintf
-    {|{ "band": "%s", "cut_ns": %d, "ops": %d, "queue_ns": %d, "wire_ns": %d, "rest_ns": %d, "to_srv_ns": %d, "from_srv_ns": %d, "total_ns": %d }|}
-    b.band b.cut_ns b.band_ops b.queue_ns b.wire_ns b.rest_ns b.to_srv_ns b.from_srv_ns
-    b.total_ns
+  Metrics.Json.Obj
+    (("band", Metrics.Json.Str b.band)
+    :: Wallclock.ints
+         [
+           ("cut_ns", b.cut_ns); ("ops", b.band_ops); ("queue_ns", b.queue_ns);
+           ("wire_ns", b.wire_ns); ("rest_ns", b.rest_ns); ("to_srv_ns", b.to_srv_ns);
+           ("from_srv_ns", b.from_srv_ns); ("total_ns", b.total_ns);
+         ])
 
 let point_json p =
-  Printf.sprintf
-    {|    { "conns": %d, "client_stacks": %d, "ops": %d, "completed": %d, "wall_s": %.4f, "gc_minor_words": %.0f, "gc_major_words": %.0f, "gc_alloc_mb": %.1f, "p50_ns": %d, "p90_ns": %d, "p99_ns": %d, "p999_ns": %d, "lat_min_ns": %d, "lat_max_ns": %d, "reconnects": %d, "frames": %d, "polls": %d, "steady_polls": %d, "gc_poll_violations": %d, "conns_peak": %d, "tcb_capacity": %d, "pool_errors": %d,
-      "attribution": { "retained_ops": %d, "bands": [ %s ] },
-      "slo": { "threshold_ns": %d, "breaches": %d, "worst_ns": %d },
-      "flight": { "capacity": 8192, "total": %d, "kept": %d, "dropped": %d, "digest": "%s" } }|}
-    p.conns p.client_stacks p.ops p.completed p.wall_s p.gc_minor_words p.gc_major_words
-    p.gc_alloc_mb p.p50_ns p.p90_ns p.p99_ns p.p999_ns p.lat_min_ns p.lat_max_ns p.reconnects
-    p.frames p.polls p.steady_polls p.gc_poll_violations p.conns_peak p.tcb_capacity
-    p.pool_errors p.retained
-    (String.concat ", " (List.map band_json p.bands))
-    p.slo_threshold_ns p.slo_breaches p.slo_worst_ns p.flight_total p.flight_kept
-    p.flight_dropped p.flight_digest
-
-(* Minimal structural JSON check: balanced containers outside strings,
-   sane escapes — enough to catch a malformed printf before the file is
-   committed as a benchmark record. *)
-let json_well_formed s =
-  let depth = ref 0 and in_str = ref false and esc = ref false and ok = ref true in
-  String.iter
-    (fun ch ->
-      if !esc then esc := false
-      else if !in_str then begin
-        if ch = '\\' then esc := true else if ch = '"' then in_str := false
-      end
-      else
-        match ch with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-            decr depth;
-            if !depth < 0 then ok := false
-        | _ -> ())
-    s;
-  !ok && !depth = 0 && not !in_str
-
-let required_keys =
-  [
-    "\"pr\"";
-    "\"sweep\"";
-    "\"attempted\"";
-    "\"largest_sustained\"";
-    "\"limiting_factor\"";
-    "\"gc_poll_violations\"";
-    "\"p999_ns\"";
-    "\"p90_ns\"";
-    "\"attribution\"";
-    "\"bands\"";
-    "\"to_srv_ns\"";
-    "\"from_srv_ns\"";
-    "\"slo\"";
-    "\"flight\"";
-    "\"churn_10k\"";
-  ]
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  m = 0 || at 0
-
-let validate_json path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let missing = List.filter (fun k -> not (contains_sub s k)) required_keys in
-  if not (json_well_formed s) then begin
-    Printf.eprintf "scale: %s is not well-formed JSON\n%!" path;
-    exit 1
-  end;
-  if missing <> [] then begin
-    Printf.eprintf "scale: %s is missing keys: %s\n%!" path (String.concat ", " missing);
-    exit 1
-  end;
-  Printf.printf "scale: JSON schema OK (%s)\n%!" path
+  let open Metrics.Json in
+  let ints = Wallclock.ints and fixed = Wallclock.fixed and whole = Wallclock.whole in
+  Obj
+    (ints
+       [
+         ("conns", p.conns); ("client_stacks", p.client_stacks); ("ops", p.ops);
+         ("completed", p.completed);
+       ]
+    @ [
+        ("wall_s", fixed 4 p.wall_s); ("gc_minor_words", whole p.gc_minor_words);
+        ("gc_major_words", whole p.gc_major_words); ("gc_alloc_mb", fixed 1 p.gc_alloc_mb);
+      ]
+    @ ints
+        [
+          ("p50_ns", p.p50_ns); ("p90_ns", p.p90_ns); ("p99_ns", p.p99_ns); ("p999_ns", p.p999_ns);
+          ("lat_min_ns", p.lat_min_ns); ("lat_max_ns", p.lat_max_ns); ("reconnects", p.reconnects);
+          ("frames", p.frames); ("polls", p.polls); ("steady_polls", p.steady_polls);
+          ("gc_poll_violations", p.gc_poll_violations); ("conns_peak", p.conns_peak);
+          ("tcb_capacity", p.tcb_capacity); ("pool_errors", p.pool_errors);
+        ]
+    @ [
+        ( "attribution",
+          Obj [ ("retained_ops", Int p.retained); ("bands", Arr (List.map band_json p.bands)) ] );
+        ( "slo",
+          Obj
+            (ints
+               [
+                 ("threshold_ns", p.slo_threshold_ns); ("breaches", p.slo_breaches);
+                 ("worst_ns", p.slo_worst_ns);
+               ]) );
+        ( "flight",
+          Obj
+            (ints
+               [
+                 ("capacity", 8192); ("total", p.flight_total); ("kept", p.flight_kept);
+                 ("dropped", p.flight_dropped);
+               ]
+            @ [ ("digest", Str p.flight_digest) ]) );
+      ])
 
 (* ---------- the sweep driver ---------- *)
 
@@ -806,19 +775,10 @@ let run ~quick ?(pr = 10) ?out () =
                 p.steady_polls p.gc_poll_violations;
               Printf.printf "slo threshold=%dns breaches=%d worst=%dns; flight %d/%d kept\n%!"
                 p.slo_threshold_ns p.slo_breaches p.slo_worst_ns p.flight_kept p.flight_total;
+              (* That each band's parts sum to its total is checked by the
+                 scale schema in compare.ml, on the written record. *)
               List.iter
                 (fun b ->
-                  if b.queue_ns + b.wire_ns + b.rest_ns <> b.total_ns then begin
-                    Printf.eprintf "scale: band %s attribution does not sum (conns=%d)\n%!"
-                      b.band p.conns;
-                    exit 1
-                  end;
-                  if b.queue_ns + b.to_srv_ns + b.from_srv_ns <> b.total_ns then begin
-                    Printf.eprintf
-                      "scale: band %s per-hop attribution does not sum (conns=%d)\n%!"
-                      b.band p.conns;
-                    exit 1
-                  end;
                   Printf.printf
                     "  band %-7s cut=%dns ops=%d queue=%dns wire=%dns rest=%dns \
                      to_srv=%dns from_srv=%dns total=%dns\n\
@@ -832,33 +792,39 @@ let run ~quick ?(pr = 10) ?out () =
   go sweep;
   let points = List.rev !points in
   let largest = List.fold_left (fun acc p -> max acc p.conns) 0 points in
-  let oc = open_out out in
-  Printf.fprintf oc
-    {|{
-  "pr": %d,
-  "mode": "%s",
-  "workload": { "target": "txnstore", "ops_per_conn": %d, "rate_per_conn_per_sec": %.0f, "get_ratio": 0.5, "theta": 0.99, "keys": %d, "value_size": %d, "churn_fraction": %.2f, "churn_after_ops": %d, "frame_latency_ns": %d },
-  "sweep": [
-%s
-  ],
-  "attempted": %d,
-  "largest_sustained": %d,
-  "limiting_factor": "%s",
-  "wall_budget_s": %.0f,
-  "churn_10k": { "wall_s": %.4f, "gc_alloc_mb": %.1f, "pr6_wall_s": %.4f, "pr6_gc_mb": %.1f, "gc_reduction": %.2f, "speedup": %.2f }
-}
-|}
-    pr
-    (if quick then "quick" else "default")
-    ops_per_conn rate_per_conn keys value_size churn_fraction churn_after frame_latency
-    (String.concat ",\n" (List.map point_json points))
-    attempted largest !limiting wall_budget_s churn.Wallclock.wall_s
-    churn.Wallclock.gc_alloc_mb pr6_churn_wall_s pr6_churn_gc_mb
-    (if churn.Wallclock.gc_alloc_mb > 0. then pr6_churn_gc_mb /. churn.Wallclock.gc_alloc_mb
-     else 0.)
-    (if churn.Wallclock.wall_s > 0. then pr6_churn_wall_s /. churn.Wallclock.wall_s else 0.);
-  close_out oc;
+  let ratio num den = if den > 0. then num /. den else 0. in
+  let fixed = Wallclock.fixed and whole = Wallclock.whole in
+  Wallclock.write_json out
+    Metrics.Json.(
+      Obj
+        [
+          ("pr", Int pr);
+          ("mode", Str (if quick then "quick" else "default"));
+          ( "workload",
+            Obj
+              [
+                ("target", Str "txnstore"); ("ops_per_conn", Int ops_per_conn);
+                ("rate_per_conn_per_sec", whole rate_per_conn); ("get_ratio", Float 0.5);
+                ("theta", Float 0.99); ("keys", Int keys); ("value_size", Int value_size);
+                ("churn_fraction", fixed 2 churn_fraction); ("churn_after_ops", Int churn_after);
+                ("frame_latency_ns", Int frame_latency);
+              ] );
+          ("sweep", Arr (List.map point_json points));
+          ("attempted", Int attempted);
+          ("largest_sustained", Int largest);
+          ("limiting_factor", Str !limiting);
+          ("wall_budget_s", whole wall_budget_s);
+          ( "churn_10k",
+            Obj
+              [
+                ("wall_s", fixed 4 churn.Wallclock.wall_s);
+                ("gc_alloc_mb", fixed 1 churn.Wallclock.gc_alloc_mb);
+                ("pr6_wall_s", fixed 4 pr6_churn_wall_s); ("pr6_gc_mb", fixed 1 pr6_churn_gc_mb);
+                ("gc_reduction", fixed 2 (ratio pr6_churn_gc_mb churn.Wallclock.gc_alloc_mb));
+                ("speedup", fixed 2 (ratio pr6_churn_wall_s churn.Wallclock.wall_s));
+              ] );
+        ]);
   Printf.printf "wrote %s (largest_sustained=%d, limiting_factor=%s)\n%!" out largest
     !limiting;
-  validate_json out;
-  Memory.Gcbudget.set_armed false
+  Memory.Gcbudget.set_armed false;
+  out

@@ -270,11 +270,30 @@ let baseline_churn_gc_mb = 184.4
 
 let per_sec count wall = if wall > 0. then float_of_int count /. wall else 0.
 
+(* Numbers for the JSON record, rounded as the report prints them:
+   [fixed n] to n decimals, [whole] to an integer. *)
+let fixed n x =
+  let k = 10. ** float_of_int n in
+  Metrics.Json.Float (Float.round (x *. k) /. k)
+
+let whole x = Metrics.Json.Int (Float.to_int (Float.round x))
+let ints kvs = List.map (fun (k, v) -> (k, Metrics.Json.Int v)) kvs
+
+let write_json path doc =
+  let oc = open_out path in
+  output_string oc (Metrics.Json.to_string doc);
+  output_char oc '\n';
+  close_out oc
+
 let sample_json s =
-  Printf.sprintf
-    {|    "%s": { "wall_s": %.4f, "events": %d, "events_per_sec": %.0f, "frames": %d, "frames_per_sec": %.0f, "gc_alloc_mb": %.1f, "ops": %d }|}
-    s.label s.wall_s s.events (per_sec s.events s.wall_s) s.frames
-    (per_sec s.frames s.wall_s) s.gc_alloc_mb s.ops
+  Metrics.Json.(
+    Obj
+      [
+        ("wall_s", fixed 4 s.wall_s); ("events", Int s.events);
+        ("events_per_sec", whole (per_sec s.events s.wall_s)); ("frames", Int s.frames);
+        ("frames_per_sec", whole (per_sec s.frames s.wall_s)); ("gc_alloc_mb", fixed 1 s.gc_alloc_mb);
+        ("ops", Int s.ops);
+      ])
 
 let run ~quick ?(out = "BENCH_pr6.json") () =
   let echo_count = if quick then 500 else baseline_echo_count in
@@ -308,28 +327,31 @@ let run ~quick ?(out = "BENCH_pr6.json") () =
   let gc_reduction_churn =
     if c.gc_alloc_mb > 0. then baseline_churn_gc_mb /. c.gc_alloc_mb else 0.
   in
-  let oc = open_out out in
-  Printf.fprintf oc
-    {|{
-  "pr": 6,
-  "mode": "%s",
-  "samples": {
-%s,
-%s
-  },
-  "baseline": { "commit": "%s", "harness": "this file, pre-change tree", "echo_count": %d, "echo_wall_s": %.4f, "echo_us_per_op": %.2f, "echo_gc_mb": %.1f, "churn_conns": %d, "churn_wall_s": %.4f, "churn_gc_mb": %.1f },
-  "echo_us_per_op": %.2f,
-  "echo_gc_kb_per_op": %.2f,
-  "speedup_churn": %.2f,
-  "gc_reduction_echo": %.2f,
-  "gc_reduction_churn": %.2f
-}
-|}
-    (if quick then "quick" else "default")
-    (sample_json e) (sample_json c) baseline_commit baseline_echo_count baseline_echo_wall_s
-    baseline_echo_us_per_op baseline_echo_gc_mb baseline_churn_conns baseline_churn_wall_s
-    baseline_churn_gc_mb echo_us_per_op echo_gc_kb_per_op churn_speedup gc_reduction_echo
-    gc_reduction_churn;
-  close_out oc;
+  write_json out
+    Metrics.Json.(
+      Obj
+        [
+          ("pr", Int 6);
+          ("mode", Str (if quick then "quick" else "default"));
+          ("samples", Obj [ (e.label, sample_json e); (c.label, sample_json c) ]);
+          ( "baseline",
+            Obj
+              [
+                ("commit", Str baseline_commit); ("harness", Str "this file, pre-change tree");
+                ("echo_count", Int baseline_echo_count);
+                ("echo_wall_s", fixed 4 baseline_echo_wall_s);
+                ("echo_us_per_op", fixed 2 baseline_echo_us_per_op);
+                ("echo_gc_mb", fixed 1 baseline_echo_gc_mb);
+                ("churn_conns", Int baseline_churn_conns);
+                ("churn_wall_s", fixed 4 baseline_churn_wall_s);
+                ("churn_gc_mb", fixed 1 baseline_churn_gc_mb);
+              ] );
+          ("echo_us_per_op", fixed 2 echo_us_per_op);
+          ("echo_gc_kb_per_op", fixed 2 echo_gc_kb_per_op);
+          ("speedup_churn", fixed 2 churn_speedup);
+          ("gc_reduction_echo", fixed 2 gc_reduction_echo);
+          ("gc_reduction_churn", fixed 2 gc_reduction_churn);
+        ]);
   Printf.printf "wrote %s (speedup_churn=%.2fx, gc_reduction_churn=%.2fx vs %s)\n%!" out
-    churn_speedup gc_reduction_churn baseline_commit
+    churn_speedup gc_reduction_churn baseline_commit;
+  out

@@ -200,8 +200,8 @@ let stats_cmd =
       const (fun flavor msg_size count format out ->
           let reg = Harness.Stats.echo ~msg_size ~count flavor in
           match (format, out) with
-          | `Json, None -> print_string (Metrics.Registry.to_json reg)
-          | `Json, Some path -> write path (Metrics.Registry.to_json reg)
+          | `Json, None -> print_endline (Metrics.Registry.to_json reg)
+          | `Json, Some path -> write path (Metrics.Registry.to_json reg ^ "\n")
           | `Table, None -> Metrics.Registry.dump reg
           | `Table, Some _ ->
               Format.eprintf "stats: --out requires --format json@.";
@@ -454,12 +454,19 @@ let slo_cmd =
                   ~extra:
                     [
                       ( "demislo",
-                        Printf.sprintf
-                          "{\"qtoken\":%d,\"owner\":\"%s\",\"kind\":\"%s\",\"opened_ns\":%d,\"closed_ns\":%d,\"latency_ns\":%d,\"threshold_ns\":%d,\"breaches\":%d,\"breakdown\":%s}"
-                          worst.Engine.Span.op_key worst.Engine.Span.op_owner
-                          worst.Engine.Span.op_kind w0 w1 (w1 - w0) threshold
-                          (Engine.Span.outlier_count spans)
-                          (Harness.Fig_breakdown.breakdown_json b) );
+                        Metrics.Json.(
+                          Obj
+                            [
+                              ("qtoken", Int worst.Engine.Span.op_key);
+                              ("owner", Str worst.Engine.Span.op_owner);
+                              ("kind", Str worst.Engine.Span.op_kind);
+                              ("opened_ns", Int w0);
+                              ("closed_ns", Int w1);
+                              ("latency_ns", Int (w1 - w0));
+                              ("threshold_ns", Int threshold);
+                              ("breaches", Int (Engine.Span.outlier_count spans));
+                              ("breakdown", Harness.Fig_breakdown.breakdown_json b);
+                            ]) );
                     ]
                   spans
               in

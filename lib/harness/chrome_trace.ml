@@ -9,6 +9,8 @@
    sub-track intervals never overlap, so B/E duration events are
    trivially balanced and durations are preserved exactly. *)
 
+module Json = Metrics.Json
+
 type ev = {
   name : string;
   cat : string;
@@ -17,41 +19,34 @@ type ev = {
   pid : int;
   tid : int;
   id : int option; (* flow-event binding id ('s'/'f' only) *)
-  arg : (string * string) option; (* key, raw json *)
+  arg : (string * Json.t) option; (* the one "args" field: key, value *)
 }
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let ev ?id ?arg ~name ~cat ~pid ~tid ph ts = { name; cat; ph; ts; pid; tid; id; arg }
 
-(* ts is microseconds in the trace-event format; print ns exactly as
-   fractional us so no precision is lost. *)
-let ts_string ns = Printf.sprintf "%d.%03d" (ns / 1000) (ns mod 1000)
+(* A zero-width slice is one complete 'X' event: the global sort puts E
+   before B on timestamp ties, which would invert a zero-width B/E pair. *)
+let slice ?arg ~name ~cat ~pid ~tid t0 t1 =
+  if t1 = t0 then [ ev ?arg ~name ~cat ~pid ~tid 'X' t0 ]
+  else [ ev ?arg ~name ~cat ~pid ~tid 'B' t0; ev ~name ~cat ~pid ~tid 'E' t1 ]
 
 let ev_json e =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%s,\"pid\":%d,\"tid\":%d"
-       (escape e.name) (escape e.cat) e.ph (ts_string e.ts) e.pid e.tid);
-  if e.ph = 'X' then Buffer.add_string b ",\"dur\":0";
-  (match e.id with Some id -> Buffer.add_string b (Printf.sprintf ",\"id\":%d" id) | None -> ());
-  (* bp:"e" binds the arrow head to the enclosing slice, not the next one. *)
-  if e.ph = 'f' then Buffer.add_string b ",\"bp\":\"e\"";
-  (match e.arg with
-  | Some (k, raw) -> Buffer.add_string b (Printf.sprintf ",\"args\":{\"%s\":%s}" (escape k) raw)
-  | None -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let opt k = function Some v -> [ (k, v) ] | None -> [] in
+  Json.Obj
+    ([
+       ("name", Json.Str e.name);
+       ("cat", Json.Str e.cat);
+       ("ph", Json.Str (String.make 1 e.ph));
+       (* ts is microseconds in the trace-event format. *)
+       ("ts", Json.Float (float_of_int e.ts /. 1000.));
+       ("pid", Json.Int e.pid);
+       ("tid", Json.Int e.tid);
+     ]
+    @ (if e.ph = 'X' then [ ("dur", Json.Int 0) ] else [])
+    @ opt "id" (Option.map (fun id -> Json.Int id) e.id)
+    (* bp:"e" binds the arrow head to the enclosing slice, not the next one. *)
+    @ (if e.ph = 'f' then [ ("bp", Json.Str "e") ] else [])
+    @ opt "args" (Option.map (fun (k, v) -> Json.Obj [ (k, v) ]) e.arg))
 
 (* Render an event list as a trace JSON document. Global order:
    metadata first, then by ts; on ties E before B so a span ending at t
@@ -68,17 +63,10 @@ let render ?(extra = []) evs =
         | c -> c)
       indexed
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  List.iteri
-    (fun i (_, e) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (ev_json e))
-    sorted;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ns\"";
-  List.iter (fun (k, raw) -> Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" (escape k) raw)) extra;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       ((("traceEvents", Json.Arr (List.map (fun (_, e) -> ev_json e) sorted))
+        :: ("displayTimeUnit", Json.Str "ns") :: extra)))
 
 (* Greedy sub-track allocation: items sorted by (start, longer first);
    returns (subtrack_index, item) with items on one sub-track disjoint. *)
@@ -125,18 +113,13 @@ let export ?(extra = []) spans =
   List.iter
     (fun (owner, pid) ->
       emit
-        {
-          name = "process_name"; cat = "__metadata"; ph = 'M'; ts = 0; pid; tid = 0; id = None;
-          arg = Some ("name", Printf.sprintf "\"%s\"" (escape owner));
-        };
+        (ev ~arg:("name", Json.Str owner) ~name:"process_name" ~cat:"__metadata" ~pid ~tid:0 'M' 0);
       let tid = ref 0 in
       let new_track name =
         incr tid;
         emit
-          {
-            name = "thread_name"; cat = "__metadata"; ph = 'M'; ts = 0; pid; tid = !tid; id = None;
-            arg = Some ("name", Printf.sprintf "\"%s\"" (escape name));
-          };
+          (ev ~arg:("name", Json.Str name) ~name:"thread_name" ~cat:"__metadata" ~pid ~tid:!tid 'M'
+             0);
         !tid
       in
       (* ops first: the per-qtoken spans are the headline track. *)
@@ -165,12 +148,7 @@ let export ?(extra = []) spans =
               Printf.sprintf "%s qt=%d" op.Engine.Span.op_kind op.Engine.Span.op_key
             else Printf.sprintf "%s qt=%d FAILED" op.Engine.Span.op_kind op.Engine.Span.op_key
           in
-          if t1 = t0 then
-            emit { name; cat = "op"; ph = 'X'; ts = t0; pid; tid; id = None; arg = None }
-          else begin
-            emit { name; cat = "op"; ph = 'B'; ts = t0; pid; tid; id = None; arg = None };
-            emit { name; cat = "op"; ph = 'E'; ts = t1; pid; tid; id = None; arg = None }
-          end;
+          List.iter emit (slice ~name ~cat:"op" ~pid ~tid t0 t1);
           op_slices := (op, pid, tid) :: !op_slices)
         placed_ops;
       (* then one track group per component, in fixed order. *)
@@ -203,24 +181,8 @@ let export ?(extra = []) spans =
                       tid
                 in
                 let name = if iv.Engine.Span.label = "" then cname else iv.Engine.Span.label in
-                if iv.Engine.Span.t1 = iv.Engine.Span.t0 then
-                  emit
-                    {
-                      name; cat = cname; ph = 'X'; ts = iv.Engine.Span.t0; pid; tid; id = None;
-                      arg = None;
-                    }
-                else begin
-                  emit
-                    {
-                      name; cat = cname; ph = 'B'; ts = iv.Engine.Span.t0; pid; tid; id = None;
-                      arg = None;
-                    };
-                  emit
-                    {
-                      name; cat = cname; ph = 'E'; ts = iv.Engine.Span.t1; pid; tid; id = None;
-                      arg = None;
-                    }
-                end)
+                List.iter emit
+                  (slice ~name ~cat:cname ~pid ~tid iv.Engine.Span.t0 iv.Engine.Span.t1))
               placed
           end)
         Engine.Span.components)
@@ -272,7 +234,7 @@ let export ?(extra = []) spans =
   List.iter
     (fun w ->
       incr arrow_id;
-      let id = Some !arrow_id in
+      let id = !arrow_id in
       match latest_opened_before w.Engine.Span.wire_src w.Engine.Span.wire_t0 with
       | None -> () (* unattributed source: nothing to hang the arrow on *)
       | Some (sop, spid, stid) ->
@@ -280,11 +242,7 @@ let export ?(extra = []) spans =
           let ts_s =
             max sop.Engine.Span.opened_at (min w.Engine.Span.wire_t0 sclosed)
           in
-          emit
-            {
-              name = w.Engine.Span.wire_label; cat = "flow"; ph = 's'; ts = ts_s; pid = spid;
-              tid = stid; id; arg = None;
-            };
+          emit (ev ~id ~name:w.Engine.Span.wire_label ~cat:"flow" ~pid:spid ~tid:stid 's' ts_s);
           (match w.Engine.Span.wire_status with
           | Engine.Span.Wire_dropped _ -> () (* broken arrow: tail only *)
           | Engine.Span.Wire_delivered -> (
@@ -295,169 +253,14 @@ let export ?(extra = []) spans =
                     max dop.Engine.Span.opened_at
                       (min w.Engine.Span.wire_t1 (Option.get dop.Engine.Span.closed_at))
                   in
-                  emit
-                    {
-                      name = w.Engine.Span.wire_label; cat = "flow"; ph = 'f'; ts = ts_f;
-                      pid = dpid; tid = dtid; id; arg = None;
-                    })))
+                  let name = w.Engine.Span.wire_label in
+                  emit (ev ~id ~name ~cat:"flow" ~pid:dpid ~tid:dtid 'f' ts_f))))
     (Engine.Span.wire_events spans);
   render ~extra (List.rev !events)
 
 (* ---------- validator ---------- *)
 
-(* A minimal recursive-descent JSON reader: enough to check anything
-   this exporter can emit, and to reject tampered files. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
 exception Bad of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> raise (Bad (Printf.sprintf "expected '%c' at offset %d" c !pos))
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else raise (Bad (Printf.sprintf "bad literal at offset %d" !pos))
-  in
-  let string_tok () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Bad "unterminated string");
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then raise (Bad "unterminated escape");
-           match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' -> Buffer.add_char b '/'
-           | 'n' -> Buffer.add_char b '\n'
-           | 't' -> Buffer.add_char b '\t'
-           | 'r' -> Buffer.add_char b '\r'
-           | 'b' -> Buffer.add_char b '\b'
-           | 'f' -> Buffer.add_char b '\012'
-           | 'u' ->
-               if !pos + 4 >= n then raise (Bad "bad \\u escape");
-               let hex = String.sub s (!pos + 1) 4 in
-               let code =
-                 try int_of_string ("0x" ^ hex) with _ -> raise (Bad "bad \\u escape")
-               in
-               (* ASCII subset is all we ever emit. *)
-               if code < 128 then Buffer.add_char b (Char.chr code) else Buffer.add_char b '?';
-               pos := !pos + 4
-           | c -> raise (Bad (Printf.sprintf "bad escape \\%c" c)));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number_tok () =
-    let start = !pos in
-    let numchar c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && numchar s.[!pos] do
-      advance ()
-    done;
-    if !pos = start then raise (Bad (Printf.sprintf "expected number at offset %d" start));
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> raise (Bad (Printf.sprintf "bad number at offset %d" start))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = string_tok () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> raise (Bad (Printf.sprintf "expected ',' or '}' at offset %d" !pos))
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elems acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> raise (Bad (Printf.sprintf "expected ',' or ']' at offset %d" !pos))
-          in
-          Arr (elems [])
-        end
-    | Some '"' -> Str (string_tok ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (number_tok ())
-    | None -> raise (Bad "unexpected end of input")
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad (Printf.sprintf "trailing garbage at offset %d" !pos));
-  v
-
-let field obj k = match obj with Obj kvs -> List.assoc_opt k kvs | _ -> None
 
 (* Structural validation: well-formed JSON, a traceEvents array whose
    events carry the required fields, globally monotone ts, balanced
@@ -467,10 +270,10 @@ let field obj k = match obj with Obj kvs -> List.assoc_opt k kvs | _ -> None
    frame renders. *)
 let validate text =
   try
-    let root = parse_json text in
+    let root = match Json.parse text with Ok v -> v | Error why -> raise (Bad why) in
     let events =
-      match field root "traceEvents" with
-      | Some (Arr evs) -> evs
+      match Json.member "traceEvents" root with
+      | Some (Json.Arr evs) -> evs
       | Some _ -> raise (Bad "traceEvents is not an array")
       | None -> raise (Bad "no traceEvents field")
     in
@@ -481,21 +284,16 @@ let validate text =
     List.iter
       (fun e ->
         incr count;
-        let str k =
-          match field e k with
-          | Some (Str s) -> s
-          | _ -> raise (Bad (Printf.sprintf "event %d: missing string %s" !count k))
+        let field what conv k =
+          match Option.bind (Json.member k e) conv with
+          | Some v -> v
+          | None -> raise (Bad (Printf.sprintf "event %d: missing %s %s" !count what k))
         in
-        let num k =
-          match field e k with
-          | Some (Num f) -> f
-          | _ -> raise (Bad (Printf.sprintf "event %d: missing number %s" !count k))
-        in
-        let name = str "name" in
-        let ph = str "ph" in
-        let ts = num "ts" in
-        let pid = int_of_float (num "pid") in
-        let tid = int_of_float (num "tid") in
+        let name = field "string" Json.to_str "name" in
+        let ph = field "string" Json.to_str "ph" in
+        let ts = field "number" Json.to_float "ts" in
+        let pid = field "integer" Json.to_int "pid" in
+        let tid = field "integer" Json.to_int "tid" in
         if ts < !last_ts then raise (Bad (Printf.sprintf "event %d (%s): ts not monotone" !count name));
         last_ts := ts;
         let key = (pid, tid) in
@@ -511,9 +309,10 @@ let validate text =
         | "M" | "X" -> ()
         | "s" | "t" | "f" -> (
             let id =
-              match field e "id" with
-              | Some (Num f) -> int_of_float f
-              | _ -> raise (Bad (Printf.sprintf "event %d (%s): flow event without id" !count name))
+              match Option.bind (Json.member "id" e) Json.to_int with
+              | Some id -> id
+              | None ->
+                  raise (Bad (Printf.sprintf "event %d (%s): flow event without id" !count name))
             in
             match ph with
             | "s" -> Hashtbl.replace flows id ()
@@ -528,6 +327,4 @@ let validate text =
     let unbalanced = Hashtbl.fold (fun _ s acc -> acc + List.length s) stacks 0 in
     if unbalanced > 0 then raise (Bad (Printf.sprintf "%d unclosed B event(s)" unbalanced));
     Ok !count
-  with
-  | Bad why -> Error why
-  | Not_found -> Error "malformed object"
+  with Bad why -> Error why

@@ -77,15 +77,15 @@ let attribute spans ~w0 ~w1 =
   }
 
 let breakdown_json b =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "{\"components\":{";
-  List.iteri
-    (fun i (comp, ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (Engine.Span.component_name comp) ns))
-    b.components;
-  Buffer.add_string buf (Printf.sprintf "},\"other\":%d,\"total\":%d}" b.other b.total);
-  Buffer.contents buf
+  Metrics.Json.(
+    Obj
+      [
+        ( "components",
+          Obj (List.map (fun (comp, ns) -> (Engine.Span.component_name comp, Int ns)) b.components)
+        );
+        ("other", Int b.other);
+        ("total", Int b.total);
+      ])
 
 (* ---------- echo scenario ---------- *)
 

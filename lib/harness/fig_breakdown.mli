@@ -17,8 +17,9 @@ type breakdown = {
 val attribute : Engine.Span.t -> w0:int -> w1:int -> breakdown
 (** Sweep the recorded intervals clipped to [\[w0, w1\]]. *)
 
-val breakdown_json : breakdown -> string
-(** Raw JSON object, embedded in the Chrome trace's top level. *)
+val breakdown_json : breakdown -> Metrics.Json.t
+(** [{"components":{...},"other":N,"total":N}], embedded in the Chrome
+    trace's top level. *)
 
 type run = {
   flavor : Demikernel.Boot.flavor;

@@ -254,66 +254,32 @@ let profile_exact p =
 let chrome_export ~app requests =
   let evs = ref [] in
   let emit e = evs := e :: !evs in
-  emit
-    {
-      Chrome_trace.name = "process_name"; cat = "__metadata"; ph = 'M'; ts = 0; pid = 1;
-      tid = 0; id = None; arg = Some ("name", Printf.sprintf "\"fleet:%s\"" (Chrome_trace.escape app));
-    };
+  let meta name arg tid =
+    Chrome_trace.ev ~arg:("name", Metrics.Json.Str arg) ~name ~cat:"__metadata" ~pid:1 ~tid 'M' 0
+  in
+  emit (meta "process_name" ("fleet:" ^ app) 0);
   List.iter
     (fun r ->
       emit
-        {
-          Chrome_trace.name = "thread_name"; cat = "__metadata"; ph = 'M'; ts = 0; pid = 1;
-          tid = r.r_id; id = None;
-          arg =
-            Some
-              ( "name",
-                Printf.sprintf "\"req %d (%d ns, root %s)\"" r.r_id (r.r_end - r.r_begin)
-                  (Chrome_trace.escape r.r_host) );
-        };
+        (meta "thread_name"
+           (Printf.sprintf "req %d (%d ns, root %s)" r.r_id (r.r_end - r.r_begin) r.r_host)
+           r.r_id);
       List.iter
         (fun s ->
           let arg =
-            Some
-              ( "seg",
-                Printf.sprintf "{\"host\":\"%s\",\"hop\":%d,\"ns\":%d}"
-                  (Chrome_trace.escape s.s_host) s.s_hop (seg_dur s) )
+            ( "seg",
+              Metrics.Json.(
+                Obj [ ("host", Str s.s_host); ("hop", Int s.s_hop); ("ns", Int (seg_dur s)) ]) )
           in
-          if seg_dur s = 0 then
-            (* A zero-width slice must be a complete event: the global
-               sort puts E before B on timestamp ties. *)
-            emit
-              {
-                Chrome_trace.name = s.s_comp; cat = "critical"; ph = 'X'; ts = s.s_t0;
-                pid = 1; tid = r.r_id; id = None; arg;
-              }
-          else begin
-            emit
-              {
-                Chrome_trace.name = s.s_comp; cat = "critical"; ph = 'B'; ts = s.s_t0; pid = 1;
-                tid = r.r_id; id = None; arg;
-              };
-            emit
-              {
-                Chrome_trace.name = s.s_comp; cat = "critical"; ph = 'E'; ts = s.s_t1; pid = 1;
-                tid = r.r_id; id = None; arg = None;
-              }
-          end)
+          List.iter emit
+            (Chrome_trace.slice ~arg ~name:s.s_comp ~cat:"critical" ~pid:1 ~tid:r.r_id s.s_t0
+               s.s_t1))
         r.r_critical;
       List.iter
         (fun e ->
-          emit
-            {
-              Chrome_trace.name = Printf.sprintf "msg %d" e.e_msg; cat = "flow"; ph = 's';
-              ts = e.e_t0; pid = 1; tid = r.r_id; id = Some ((e.e_msg * 131) + e.e_hop);
-              arg = None;
-            };
-          emit
-            {
-              Chrome_trace.name = Printf.sprintf "msg %d" e.e_msg; cat = "flow"; ph = 'f';
-              ts = e.e_t1; pid = 1; tid = r.r_id; id = Some ((e.e_msg * 131) + e.e_hop);
-              arg = None;
-            })
+          let name = Printf.sprintf "msg %d" e.e_msg and id = (e.e_msg * 131) + e.e_hop in
+          emit (Chrome_trace.ev ~id ~name ~cat:"flow" ~pid:1 ~tid:r.r_id 's' e.e_t0);
+          emit (Chrome_trace.ev ~id ~name ~cat:"flow" ~pid:1 ~tid:r.r_id 'f' e.e_t1))
         r.r_edges)
     requests;
   Chrome_trace.render (List.rev !evs)

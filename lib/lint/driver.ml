@@ -142,43 +142,23 @@ let report fmt violations =
   | 0 -> Format.fprintf fmt "dlint: clean@."
   | n -> Format.fprintf fmt "dlint: %d violation(s)@." n
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_violations violations =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "{\"count\":%d,\"violations\":[" (List.length violations));
-  List.iteri
-    (fun i (v : Rules.violation) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"path\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"message\":\"%s\",\"chain\":["
-           (json_escape v.path) v.line v.col (json_escape v.rule) (json_escape v.message));
-      List.iteri
-        (fun j (h : Effects.hop) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"path\":\"%s\",\"line\":%d,\"col\":%d,\"name\":\"%s\"}"
-               (json_escape h.Effects.hop_loc.Effects.lpath)
-               h.Effects.hop_loc.Effects.lline h.Effects.hop_loc.Effects.lcol
-               (json_escape h.Effects.hop_what)))
-        v.chain;
-      Buffer.add_string b "]}")
-    violations;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Metrics.Json in
+  let at path line col = [ ("path", Str path); ("line", Int line); ("col", Int col) ] in
+  let hop (h : Effects.hop) =
+    let l = h.Effects.hop_loc in
+    Obj (at l.Effects.lpath l.Effects.lline l.Effects.lcol @ [ ("name", Str h.Effects.hop_what) ])
+  in
+  let violation (v : Rules.violation) =
+    let rest = [ ("rule", Str v.rule); ("message", Str v.message) ] in
+    Obj (at v.path v.line v.col @ rest @ [ ("chain", Arr (List.map hop v.chain)) ])
+  in
+  to_string
+    (Obj
+       [
+         ("count", Int (List.length violations));
+         ("violations", Arr (List.map violation violations));
+       ])
 
 let report_json fmt violations =
   Format.fprintf fmt "%s@." (json_of_violations violations)

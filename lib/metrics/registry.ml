@@ -54,40 +54,23 @@ let histograms t =
       match Hashtbl.find_opt t.entries name with Some (Hist h) -> Some (name, h) | _ -> None)
     (sorted_names t)
 
-let json_escape name =
-  (* Metric names are [a-z0-9/_-] by convention, but be safe. *)
-  let b = Buffer.create (String.length name + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-          Buffer.add_char b '\\';
-          Buffer.add_char b c
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    name;
-  Buffer.contents b
-
 let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"counters\": {";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n    \"%s\": %d" (json_escape name) v))
-    (counters t);
-  Buffer.add_string b "\n  },\n  \"histograms\": {";
-  List.iteri
-    (fun i (name, h) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n    \"%s\": { \"count\": %d, \"p50\": %d, \"p99\": %d, \"p999\": %d, \"max\": %d }"
-           (json_escape name) (Histogram.count h) (Histogram.p50 h) (Histogram.p99 h)
-           (Histogram.p999 h) (Histogram.max h)))
-    (histograms t);
-  Buffer.add_string b "\n  }\n}\n";
-  Buffer.contents b
+  let ints kvs = List.map (fun (k, v) -> (k, Json.Int v)) kvs in
+  let hist (name, h) =
+    ( name,
+      Json.Obj
+        (ints
+           [
+             ("count", Histogram.count h); ("p50", Histogram.p50 h); ("p99", Histogram.p99 h);
+             ("p999", Histogram.p999 h); ("max", Histogram.max h);
+           ]) )
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("counters", Json.Obj (ints (counters t)));
+         ("histograms", Json.Obj (List.map hist (histograms t)));
+       ])
 
 let dump t =
   (match counters t with

@@ -44,6 +44,6 @@ val dump : t -> unit
     name-sorted. *)
 
 val to_json : t -> string
-(** The registry as a JSON object:
-    [{"counters": {...}, "histograms": {name: {count,p50,p99,p999,max}}}],
+(** The registry as a compact {!Json} object:
+    [{"counters":{...},"histograms":{name:{count,p50,p99,p999,max}}}],
     name-sorted for deterministic output ([demi stats --format json]). *)
