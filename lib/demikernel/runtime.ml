@@ -161,22 +161,21 @@ let wait_any_timeout t qts ~timeout_ns =
   let deadline = Host.now t.host + timeout_ns in
   let me = Dsched.self t.sched in
   (* A timer event wakes us if nothing completes first; spurious wakes
-     are harmless because we re-scan. *)
-  (* dlint-allow: alloc-in-hotpath -- per-call setup: one cancel flag per call *)
-  let cancelled = ref false in
-  Engine.Sim.schedule t.host.Host.sim ~delay:timeout_ns
-    (* dlint-allow: alloc-in-hotpath -- per-call setup: one timeout closure per call *)
-    (fun () ->
-      if not !cancelled then begin
+     are harmless because we re-scan. [cleanup] cancels it, so it runs
+     only when the wait times out. *)
+  let timer =
+    Engine.Sim.timer t.host.Host.sim ~delay:timeout_ns
+      (* dlint-allow: alloc-in-hotpath -- per-call setup: one timeout closure and its event per call; [cleanup] cancels the event when the wait ends first, so neither outlives the call (test_apps "dkv wait_any_t pending events stay flat") *)
+      (fun () ->
         Dsched.wake t.sched me;
         (* The host fiber may be parked on device signals; kick it so the
            scheduler loop observes the readiness bit. *)
-        Engine.Condvar.broadcast t.kick
-      end);
+        Engine.Condvar.broadcast t.kick)
+  in
   (* dlint-allow: alloc-in-hotpath -- one waiter registration per call, not per wake *)
   let some_me = Some me in
   let cleanup () =
-    cancelled := true;
+    Engine.Sim.cancel t.host.Host.sim timer;
     for i = 0 to Array.length states - 1 do
       let ts = states.(i) in
       (match ts.waiter with

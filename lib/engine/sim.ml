@@ -36,13 +36,21 @@ let create ?(seed = 1L) () =
 let now t = t.now
 let prng t = t.prng
 
+type timer = Eventq.handle
+
 let at t ~time fn =
   assert (time >= t.now);
-  Eventq.add t.q ~time fn
+  ignore (Eventq.add t.q ~time fn : timer)
 
-let schedule t ~delay fn =
+let timer t ~delay fn =
   assert (delay >= 0);
   Eventq.add t.q ~time:(t.now + delay) fn
+
+let schedule t ~delay fn = ignore (timer t ~delay fn : timer)
+let cancel t timer = Eventq.cancel t.q timer
+let no_timer = Eventq.none
+let armed = Eventq.queued
+let pending t = Eventq.size t.q
 
 let stop t = t.stopped <- true
 

@@ -21,6 +21,40 @@ val schedule : t -> delay:Clock.t -> (unit -> unit) -> unit
 val at : t -> time:Clock.t -> (unit -> unit) -> unit
 (** Run a callback at an absolute time (>= [now]). *)
 
+(** {1 Cancellable events}
+
+    Every pending event is live: a component whose scheduled callback
+    has become pointless (a timeout whose wait already ended, a wake-up
+    for a fiber that already woke) cancels it instead of leaving a
+    no-op in the set. Cancelling skips the event's insertion sequence
+    number and never reorders the events that stay, so a run with the
+    event cancelled is the run with it left as a no-op, minus that one
+    event: the same firing order and virtual results, one less in
+    {!events_processed}. Only the end of a run tells the two apart:
+    when nothing but cancelled events would be left, {!run} returns at
+    the last live event instead of moving the clock on to them. *)
+
+type timer
+(** A handle on one scheduled event. *)
+
+val timer : t -> delay:Clock.t -> (unit -> unit) -> timer
+(** {!schedule}, returning a handle for {!cancel}. *)
+
+val cancel : t -> timer -> unit
+(** Remove the event from the pending set; its callback never runs.
+    O(log n) in {!pending}. A no-op on an event that already ran or was
+    already cancelled, and on {!no_timer}. *)
+
+val no_timer : timer
+(** A handle on no event: never {!armed}, and {!cancel} ignores it. *)
+
+val armed : timer -> bool
+(** Whether the event is still pending (neither run nor cancelled). *)
+
+val pending : t -> int
+(** Number of events in the pending set. Read-only; cancelled events
+    are not counted (nor kept). *)
+
 val stop : t -> unit
 (** Make [run] return after the current event. *)
 

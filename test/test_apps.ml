@@ -262,6 +262,45 @@ let test_txnstore_ycsb_f () =
   (* An RMW is at least two network round trips. *)
   check_bool "txn latency exceeds 2 RTT" true (Metrics.Histogram.p50 lat > 8_000)
 
+(* Every pending event is live. A client whose every wait is a
+   [wait_any_t] with a 1 s timeout (the kv bench's preload pattern)
+   cancels each timer as its reply arrives, so neither the pending-event
+   count when the client is done nor its peak over the run grows with
+   the op count. Left in the set until they came due, those timers
+   added about two pending events per op. *)
+let dkv_pending_events ops =
+  let sim, server, client = dkv_world () in
+  let peak = ref 0 and at_end = ref (-1) in
+  Engine.Sim.set_sampler sim ~interval:(Engine.Clock.us 5) (fun _ ->
+      peak := max !peak (Engine.Sim.pending sim));
+  Demikernel.Boot.run_app client (fun api ->
+      let rec wait qt =
+        match api.Demikernel.Pdpix.wait_any_t [| qt |] ~timeout_ns:(Engine.Clock.s 1) with
+        | Some (_, completion) -> completion
+        | None -> wait qt
+      in
+      let c =
+        Apps.Dkv.client_connect { api with Demikernel.Pdpix.wait }
+          (Demikernel.Boot.endpoint server 6379)
+      in
+      for i = 1 to ops do
+        assert (Apps.Dkv.set c (string_of_int (i mod 64)) "v" = Apps.Dkv.Ok)
+      done;
+      at_end := Engine.Sim.pending sim;
+      Engine.Sim.stop sim);
+  Demikernel.Boot.start server;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 5) sim;
+  (!at_end, !peak)
+
+let test_dkv_pending_events_flat () =
+  let end_1k, peak_1k = dkv_pending_events 1_000 in
+  let end_8k, peak_8k = dkv_pending_events 8_000 in
+  check_bool "client finished" true (end_1k >= 0 && end_8k >= 0);
+  check_int "pending when done, 8k ops vs 1k" end_1k end_8k;
+  check_int "peak pending, 8k ops vs 1k" peak_1k peak_8k;
+  check_bool "peak pending is a handful" true (peak_8k <= 16)
+
 let suite =
   [
     Alcotest.test_case "framing roundtrip" `Quick test_framing_roundtrip;
@@ -275,6 +314,8 @@ let suite =
     Alcotest.test_case "dkv large values" `Quick test_dkv_large_values;
     Alcotest.test_case "dkv persistence (AOF)" `Quick test_dkv_persistence;
     Alcotest.test_case "dkv bench on all libOSes" `Quick test_dkv_bench_runs_everywhere;
+    Alcotest.test_case "dkv wait_any_t pending events stay flat" `Quick
+      test_dkv_pending_events_flat;
     Alcotest.test_case "txnstore rmw serializes" `Quick test_txnstore_rmw;
     Alcotest.test_case "txnstore replicates to all" `Quick test_txnstore_replicates;
     Alcotest.test_case "txnstore ycsb-f" `Quick test_txnstore_ycsb_f;

@@ -15,13 +15,17 @@ let test_clock_units () =
   check_int "ms" 1_000_000 (Engine.Clock.ms 1);
   check_int "s" 1_000_000_000 (Engine.Clock.s 1)
 
+(* [Eventq.add] returns a handle for [Eventq.cancel]; these tests keep
+   none. *)
+let add q ~time fn = ignore (Engine.Eventq.add q ~time fn : Engine.Eventq.handle)
+
 let test_eventq_order () =
   let q = Engine.Eventq.create () in
   let order = ref [] in
   let record tag () = order := tag :: !order in
-  Engine.Eventq.add q ~time:30 (record "c");
-  Engine.Eventq.add q ~time:10 (record "a");
-  Engine.Eventq.add q ~time:20 (record "b");
+  add q ~time:30 (record "c");
+  add q ~time:10 (record "a");
+  add q ~time:20 (record "b");
   let rec drain () =
     if not (Engine.Eventq.is_empty q) then begin
       Engine.Eventq.pop q ();
@@ -35,7 +39,7 @@ let test_eventq_ties_fifo () =
   let q = Engine.Eventq.create () in
   let order = ref [] in
   for i = 0 to 99 do
-    Engine.Eventq.add q ~time:5 (fun () -> order := i :: !order)
+    add q ~time:5 (fun () -> order := i :: !order)
   done;
   let rec drain () =
     if not (Engine.Eventq.is_empty q) then begin
@@ -51,7 +55,7 @@ let test_eventq_heap_property =
     QCheck.(list (int_bound 10_000))
     (fun times ->
       let q = Engine.Eventq.create () in
-      List.iter (fun time -> Engine.Eventq.add q ~time (fun () -> ())) times;
+      List.iter (fun time -> add q ~time (fun () -> ())) times;
       let rec drain acc =
         if Engine.Eventq.is_empty q then List.rev acc
         else begin
@@ -319,7 +323,7 @@ let test_eventq_interleaved =
           | Some dt ->
               let id = !next_id in
               incr next_id;
-              Engine.Eventq.add q ~time:(!now + dt) (fun () -> popped := id :: !popped);
+              add q ~time:(!now + dt) (fun () -> popped := id :: !popped);
               model := (!now + dt, id) :: !model
           | None -> pop_one ())
         ops;
@@ -663,6 +667,329 @@ let test_uncontended_sleep_allocates_nothing () =
   check_int "clock" 7_000 (Engine.Sim.now sim);
   check_int "one event per sleep, plus the spawn" 1_001 (Engine.Sim.events_processed sim)
 
+(* --- Cancellable events ---
+
+   [Eventq] against a sorted-list oracle: random adds (with many equal
+   times), cancels of queued, popped and already-cancelled entries, and
+   pops. Entries must pop in (time, seq) order, a cancelled callback
+   must never run, and [size] must be exact after every step. *)
+
+type qop = Q_add of int | Q_cancel of int | Q_pop
+
+let arb_qops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun t -> Q_add t) (int_bound 30));
+        (2, map (fun i -> Q_cancel i) (int_bound 1_000));
+        (3, return Q_pop);
+      ]
+  in
+  let show = function
+    | Q_add t -> Printf.sprintf "add %d" t
+    | Q_cancel i -> Printf.sprintf "cancel #%d" i
+    | Q_pop -> "pop"
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show ops))
+    (list_size (int_range 0 120) op)
+
+type qstate = Queued | Popped | Cancelled
+
+let eventq_matches_oracle ops =
+  let q = Engine.Eventq.create () in
+  (* (time, id, state), id = insertion order; newest first *)
+  let oracle = ref [] in
+  let handles = ref [||] in
+  let ran = ref (-1) in
+  let ok = ref true in
+  let expect b = ok := !ok && b in
+  let queued () = List.filter (fun (_, _, st) -> !st = Queued) !oracle in
+  let pop () =
+    match queued () with
+    | [] -> expect (Engine.Eventq.is_empty q)
+    | live ->
+        let time, id, st =
+          List.fold_left
+            (fun ((bt, bi, _) as best) ((t, i, _) as e) ->
+              if t < bt || (t = bt && i < bi) then e else best)
+            (List.hd live) live
+        in
+        expect (Engine.Eventq.min_time q = time);
+        ran := -1;
+        Engine.Eventq.pop q ();
+        expect (!ran = id);
+        st := Popped
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Q_add time ->
+          let id = Array.length !handles in
+          let st = ref Queued in
+          let h =
+            Engine.Eventq.add q ~time (fun () ->
+                expect (!st = Queued);
+                ran := id)
+          in
+          handles := Array.append !handles [| h |];
+          oracle := (time, id, st) :: !oracle
+      | Q_cancel i when Array.length !handles > 0 ->
+          let id = i mod Array.length !handles in
+          let h = !handles.(id) in
+          let _, _, st = List.find (fun (_, j, _) -> j = id) !oracle in
+          expect (Engine.Eventq.queued h = (!st = Queued));
+          Engine.Eventq.cancel q h;
+          if !st = Queued then st := Cancelled;
+          expect (not (Engine.Eventq.queued h))
+      | Q_cancel _ -> ()
+      | Q_pop -> pop ());
+      expect (Engine.Eventq.size q = List.length (queued ())))
+    ops;
+  while queued () <> [] && !ok do
+    pop ()
+  done;
+  !ok && Engine.Eventq.is_empty q
+
+let test_eventq_oracle =
+  QCheck.Test.make ~name:"eventq add/cancel/pop matches a sorted-list oracle" ~count:500
+    arb_qops eventq_matches_oracle
+
+(* [Condvar] and cancellable timers against the lazy-flag design they
+   replace, kept here as the reference: every waiter closure stays in
+   its queues until broadcast, and a fired waiter's other events and a
+   finished wait's timer still run, as no-ops. Both run the same random
+   multi-fiber programs; the runs must agree on every (time, fiber,
+   outcome) record and on the clock while any live event remains, and
+   differ in [events_processed] by exactly the reference's no-op
+   fires. *)
+
+module type WAIT = sig
+  type cv
+  type timer
+
+  val create : Engine.Sim.t -> cv
+  val wait : cv -> unit
+  val wait_timeout : cv -> int -> [ `Signaled | `Timeout ]
+  val wait_many : Engine.Sim.t -> cv list -> timeout:int option -> [ `Signaled | `Timeout ]
+  val broadcast : cv -> unit
+  val arm : Engine.Sim.t -> delay:int -> (unit -> unit) -> timer
+  val disarm : Engine.Sim.t -> timer -> unit
+  val noops : int ref
+end
+
+module Cancelling : WAIT = struct
+  include Engine.Condvar
+
+  type cv = t
+  type timer = Engine.Sim.timer
+
+  let arm sim ~delay fn = Engine.Sim.timer sim ~delay fn
+  let disarm = Engine.Sim.cancel
+  let noops = ref 0
+end
+
+module Lazy_flags : WAIT = struct
+  type cv = { sim : Engine.Sim.t; mutable queue : (unit -> unit) list }
+  type timer = bool ref
+
+  let noops = ref 0
+  let create sim = { sim; queue = [] }
+
+  let wait_many sim cvs ~timeout =
+    Engine.Fiber.suspend (fun resume ->
+        let fired = ref false in
+        let fire outcome =
+          if !fired then incr noops
+          else begin
+            fired := true;
+            resume outcome
+          end
+        in
+        List.iter (fun cv -> cv.queue <- (fun () -> fire `Signaled) :: cv.queue) cvs;
+        Option.iter
+          (fun span -> Engine.Sim.schedule sim ~delay:(max 0 span) (fun () -> fire `Timeout))
+          timeout)
+
+  let wait cv = ignore (wait_many cv.sim [ cv ] ~timeout:None)
+  let wait_timeout cv span = wait_many cv.sim [ cv ] ~timeout:(Some span)
+
+  let broadcast cv =
+    let waiters = List.rev cv.queue in
+    cv.queue <- [];
+    List.iter (fun f -> Engine.Sim.schedule cv.sim ~delay:0 f) waiters
+
+  let arm sim ~delay fn =
+    let dead = ref false in
+    Engine.Sim.schedule sim ~delay (fun () -> if !dead then incr noops else fn ());
+    dead
+
+  let disarm _ dead = dead := true
+end
+
+type wop =
+  | W_sleep of int
+  | W_wait of int
+  | W_wait_timeout of int * int
+  | W_wait_many of int list * int option
+  | W_broadcast of int
+  | W_guarded of int * int (* timer broadcasting cv after d, wait on cv, cancel the timer *)
+  | W_schedule of int * int (* callback after d broadcasting cv *)
+
+let show_wop = function
+  | W_sleep d -> Printf.sprintf "sleep %d" d
+  | W_wait c -> Printf.sprintf "wait cv%d" c
+  | W_wait_timeout (c, d) -> Printf.sprintf "wait cv%d timeout %d" c d
+  | W_wait_many (cs, d) ->
+      Printf.sprintf "wait_many [%s]%s"
+        (String.concat "," (List.map string_of_int cs))
+        (match d with Some d -> Printf.sprintf " timeout %d" d | None -> "")
+  | W_broadcast c -> Printf.sprintf "broadcast cv%d" c
+  | W_guarded (c, d) -> Printf.sprintf "guarded wait cv%d timer %d" c d
+  | W_schedule (d, c) -> Printf.sprintf "schedule %d broadcast cv%d" d c
+
+(* (fibers as (start delay, ops), run ~until slice) *)
+let arb_wait_program =
+  let open QCheck.Gen in
+  let cv = int_bound 2 in
+  let span = int_bound 20 in
+  let op =
+    frequency
+      [
+        (3, map (fun d -> W_sleep d) (oneofl [ 0; 1; 2; 3; 5; 8 ]));
+        (1, map (fun c -> W_wait c) cv);
+        (2, map2 (fun c d -> W_wait_timeout (c, d)) cv span);
+        (2, map2 (fun cs d -> W_wait_many (cs, d)) (list_size (int_range 1 3) cv) (opt span));
+        (3, map (fun c -> W_broadcast c) cv);
+        (2, map2 (fun c d -> W_guarded (c, d)) cv span);
+        (1, map2 (fun d c -> W_schedule (d, c)) span cv);
+      ]
+  in
+  let fiber = pair (oneofl [ 0; 0; 1; 3 ]) (list_size (int_bound 12) op) in
+  let print (fibers, slice) =
+    Printf.sprintf "slices %d\n%s" slice
+      (String.concat "\n"
+         (List.mapi
+            (fun i (start, ops) ->
+              Printf.sprintf "fiber %d @%d: %s" i start
+                (String.concat "; " (List.map show_wop ops)))
+            fibers))
+  in
+  QCheck.make ~print (pair (list_size (int_range 1 5) fiber) (int_range 1 15))
+
+(* Returns the (time, tag) log, after every [run] the (now, events, log
+   length, no-op fires so far, pending), and the final (events, now). *)
+module Run_waits (W : WAIT) = struct
+  let run (fibers, slice) =
+    W.noops := 0;
+    let sim = Engine.Sim.create () in
+    let cvs = Array.init 3 (fun _ -> W.create sim) in
+    let log = ref [] in
+    let note tag = log := (Engine.Sim.now sim, tag) :: !log in
+    let outcome tag = function
+      | `Signaled -> note (tag ^ " signaled")
+      | `Timeout -> note (tag ^ " timeout")
+    in
+    List.iteri
+      (fun i (start, ops) ->
+        Engine.Sim.schedule sim ~delay:start (fun () ->
+            Engine.Fiber.spawn sim (fun () ->
+                note (Printf.sprintf "%d start" i);
+                List.iteri
+                  (fun j op ->
+                    let tag = Printf.sprintf "%d.%d" i j in
+                    (match op with
+                    | W_sleep d -> Engine.Fiber.sleep sim d
+                    | W_wait c -> W.wait cvs.(c)
+                    | W_wait_timeout (c, d) -> outcome tag (W.wait_timeout cvs.(c) d)
+                    | W_wait_many (cs, d) ->
+                        outcome tag
+                          (W.wait_many sim (List.map (fun c -> cvs.(c)) cs) ~timeout:d)
+                    | W_broadcast c -> W.broadcast cvs.(c)
+                    | W_guarded (c, d) ->
+                        let timer =
+                          W.arm sim ~delay:d (fun () ->
+                              note (tag ^ " timer");
+                              W.broadcast cvs.(c))
+                        in
+                        W.wait cvs.(c);
+                        W.disarm sim timer
+                    | W_schedule (d, c) ->
+                        Engine.Sim.schedule sim ~delay:d (fun () ->
+                            note (tag ^ " callback");
+                            W.broadcast cvs.(c)));
+                    note tag)
+                  ops)))
+      fibers;
+    let runs = ref [] in
+    let run ?until () =
+      Engine.Sim.run ?until sim;
+      runs :=
+        ( Engine.Sim.now sim,
+          Engine.Sim.events_processed sim,
+          List.length !log,
+          !W.noops,
+          Engine.Sim.pending sim )
+        :: !runs
+    in
+    for k = 1 to 8 do
+      run ~until:(k * slice) ()
+    done;
+    run ();
+    (List.rev !log, List.rev !runs, (Engine.Sim.events_processed sim, Engine.Sim.now sim))
+end
+
+module Run_cancelling = Run_waits (Cancelling)
+module Run_lazy = Run_waits (Lazy_flags)
+
+let test_cancel_equals_noops =
+  QCheck.Test.make ~name:"cancelled events give the same run as no-op events" ~count:500
+    arb_wait_program (fun prog ->
+      let log, runs, (events, now) = Run_cancelling.run prog in
+      let log_ref, runs_ref, (events_ref, _) = Run_lazy.run prog in
+      let noops = match List.rev runs_ref with (_, _, _, n, _) :: _ -> n | [] -> 0 in
+      log = log_ref
+      && events_ref - events = noops
+      (* Every event that stays is live and logs, so the run ends at
+         the last live event's time. *)
+      && now = (match List.rev log with (t, _) :: _ -> t | [] -> 0)
+      && List.for_all2
+           (fun (now, ev, len, _, pending) (now_ref, ev_ref, len_ref, noops_ref, _) ->
+             len = len_ref
+             && ev_ref - ev = noops_ref
+             && if pending > 0 then now = now_ref else now <= now_ref)
+           runs runs_ref)
+
+(* The leak the lazy design had: a [wait_many] waiter woken through cv
+   [a] stayed queued on cv [b], which is never broadcast, holding its
+   closure (and through it the fiber) for good. *)
+let test_condvar_parked_only () =
+  let parks n =
+    let sim = Engine.Sim.create () in
+    let a = Engine.Condvar.create sim and b = Engine.Condvar.create sim in
+    Engine.Fiber.spawn sim (fun () ->
+        for _ = 1 to n do
+          ignore (Engine.Condvar.wait_many sim [ a; b ] ~timeout:(Some 1_000_000))
+        done);
+    Engine.Fiber.spawn sim (fun () ->
+        for _ = 1 to n do
+          Engine.Fiber.sleep sim 1;
+          Engine.Condvar.broadcast a
+        done);
+    Engine.Sim.run sim;
+    (Engine.Condvar.waiters a, Engine.Condvar.waiters b, Engine.Sim.pending sim,
+     Obj.reachable_words (Obj.repr b))
+  in
+  let a1, b1, p1, w1 = parks 1_000 and a10, b10, p10, w10 = parks 10_000 in
+  check_int "cv a waiters, 1k parks" 0 a1;
+  check_int "cv b waiters, 1k parks" 0 b1;
+  check_int "cv a waiters, 10k parks" 0 a10;
+  check_int "cv b waiters, 10k parks" 0 b10;
+  check_int "timeouts cancelled, 1k parks" 0 p1;
+  check_int "timeouts cancelled, 10k parks" 0 p10;
+  check_int "words reachable from cv b, 10k vs 1k parks" w1 w10
+
 let suite =
   [
     Alcotest.test_case "clock pretty-printing" `Quick test_clock_pp;
@@ -700,4 +1027,7 @@ let suite =
     QCheck_alcotest.to_alcotest test_fast_forward_equivalent;
     Alcotest.test_case "uncontended sleeps allocate nothing" `Quick
       test_uncontended_sleep_allocates_nothing;
+    QCheck_alcotest.to_alcotest test_eventq_oracle;
+    QCheck_alcotest.to_alcotest test_cancel_equals_noops;
+    Alcotest.test_case "condvar holds parked fibers only" `Quick test_condvar_parked_only;
   ]
